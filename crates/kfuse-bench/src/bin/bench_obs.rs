@@ -15,8 +15,8 @@
 //! throughput — the budget the serving plane's "always-on" claim is
 //! priced against.
 //!
-//! Writes machine-readable results to `BENCH_obs.json` at the repository
-//! root. Run with `cargo run --release -p kfuse-bench --bin bench_obs`.
+//! Writes machine-readable results to `BENCH_obs.json` in the current
+//! directory. Run with `cargo run --release -p kfuse-bench --bin bench_obs`.
 //! Set `KFUSE_BENCH_SCALE=<div>` to shrink frames for a CI smoke run.
 
 use std::sync::Arc;
@@ -189,7 +189,7 @@ fn main() {
         p99(&on_snap),
         stats.finished,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
+    let path = "BENCH_obs.json";
     std::fs::write(path, json).expect("write BENCH_obs.json");
     println!("wrote {path}");
 

@@ -15,7 +15,7 @@
 //!
 //! Prints a req/s table plus per-tenant latency percentiles from the
 //! runtime's own metrics, and writes machine-readable results to
-//! `BENCH_serve.json` at the repository root.
+//! `BENCH_serve.json` in the current directory.
 //!
 //! Run with `cargo run --release -p kfuse-bench --bin bench_serve`.
 //! Set `KFUSE_BENCH_SCALE=<div>` to divide the request edge lengths
@@ -163,7 +163,7 @@ fn main() {
          \"warm_runtime_metrics\": {}\n}}\n",
         snapshot.to_json()
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+    let path = "BENCH_serve.json";
     std::fs::write(path, json).expect("write BENCH_serve.json");
     println!("\nwrote {path}");
 }

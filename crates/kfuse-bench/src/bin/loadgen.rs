@@ -38,8 +38,8 @@
 //! timing-sensitive on noisy shared runners).
 //!
 //! Writes `BENCH_net.json` (per-app p50/p95/p99 µs, throughput,
-//! deadline-miss rate, plus the sweep results when enabled) at the
-//! repository root.
+//! deadline-miss rate, plus the sweep results when enabled) in the
+//! current directory.
 //!
 //! Run with `cargo run --release -p kfuse-bench --bin loadgen`.
 //! `KFUSE_BENCH_SCALE=<div>` divides the frame edges (CI smoke uses 4).
@@ -739,7 +739,7 @@ fn main() -> ExitCode {
         total_ok as f64 / wall_s,
         if failed { "true" } else { "false" },
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
+    let path = "BENCH_net.json";
     std::fs::write(path, json).expect("write BENCH_net.json");
     println!("\nwrote {path}");
 

@@ -31,7 +31,7 @@
 //! ([`crate::FusionConfig::separable`], default `false`): the repo's core
 //! oracle — fused output is *bit-identical* to unfused — must keep holding
 //! on the default path. A factored pipeline is still bit-identical across
-//! *executors* (reference interpreter, scalar tape, SIMD tape), which is
+//! *executors* (reference interpreter and compiled tape engine), which is
 //! what the differential fuzzer's separable lane pins.
 
 use kfuse_ir::stencil::stage_factorization;

@@ -37,17 +37,22 @@ pub mod exec;
 pub mod fast;
 pub mod micro;
 pub mod plan;
-pub mod simd;
 pub mod tape;
 pub mod tile;
 pub mod timing;
+
+// Test-only: the op-level oracle for `tile`'s row passes. The module keeps
+// the name `simd` (it once also held explicit vector tiers) so its tests
+// keep stable names.
+#[cfg(test)]
+#[path = "row_oracle.rs"]
+mod simd;
 
 pub use cost::{analyze_kernel, analyze_pipeline, total_dram_bytes, LaunchCost, ThreadCost};
 pub use exec::{execute, execute_kernel, execute_reference, synthetic_image, ExecError, Execution};
 pub use fast::{execute_fast, execute_fast_with, FastConfig};
 pub use micro::{build_trace, MicroSim, MicroTiming, WarpOp};
 pub use plan::CompiledPlan;
-pub use simd::{detected_level, Interior, SimdLevel};
 pub use tape::{compile_stage, Tape};
 pub use tile::{
     execute_kernel_compiled, execute_kernel_compiled_traced, execute_kernel_tiled, modeled_traffic,
