@@ -4,7 +4,7 @@
 //! Two identical runtimes serve the same traced load — one with a
 //! [`kfuse_obs::FlightRecorder`] installed (every request gets a private
 //! span buffer, outcome classification, and ring retention), one without.
-//! Both receive requests through the same `submit_with_ctx` path with
+//! Both receive requests through the same `Runtime::submit` path with
 //! client-style trace ids, so the *only* delta is the recorder itself.
 //!
 //! Trials run in off/on pairs so clock drift and thermal throttling hit
@@ -26,7 +26,7 @@ use kfuse_apps::paper_apps;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
 use kfuse_obs::FlightRecorder;
-use kfuse_runtime::{Admission, Runtime, RuntimeConfig};
+use kfuse_runtime::{Admission, Request, Runtime, RuntimeConfig};
 use kfuse_sim::synthetic_image;
 
 fn inputs_for(p: &Pipeline, seed: u64) -> Vec<(ImageId, Image)> {
@@ -52,15 +52,14 @@ fn run_trial(
             // Client-style nonzero trace ids so the recorder (when
             // present) runs its full begin/finish path per request.
             let trace_id = trace_base + i as u64;
-            rt.submit_with_ctx(
+            rt.submit(
                 name,
                 p,
-                inputs.to_vec(),
-                Schedule::Optimized,
-                kfuse_runtime::Priority::Normal,
-                None,
-                trace_id,
-                1,
+                Request {
+                    trace_id,
+                    span_id: 1,
+                    ..Request::new(inputs.to_vec(), Schedule::Optimized)
+                },
             )
             .expect("submit")
         })

@@ -24,7 +24,7 @@
 use kfuse_apps::paper_apps;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
-use kfuse_runtime::{Admission, Runtime, RuntimeConfig};
+use kfuse_runtime::{Admission, Request, Runtime, RuntimeConfig};
 use kfuse_sim::synthetic_image;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -59,7 +59,7 @@ fn run_load(
     let start = Instant::now();
     let handles: Vec<_> = (0..requests)
         .map(|_| {
-            rt.submit(name, p, inputs.to_vec(), Schedule::Optimized)
+            rt.submit(name, p, Request::new(inputs.to_vec(), Schedule::Optimized))
                 .expect("submit")
         })
         .collect();

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use kfuse_apps::paper_apps;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
-use kfuse_net::{Client, ClientError, ErrorCode, Server, ServerConfig};
+use kfuse_net::{Client, ClientError, ErrorCode, Priority, Server, ServerConfig};
 use kfuse_obs::{
     parse_json, to_chrome_json, validate_chrome_trace, validate_prometheus, RequestOutcome, Tracer,
 };
@@ -206,6 +206,7 @@ fn net_phase() {
             inputs.clone(),
             Schedule::Optimized,
             Some(Duration::from_secs(10)),
+            Priority::Normal,
         )
         .unwrap_or_else(|e| fail(&format!("traced submit: {e}")));
     let trace = client
@@ -224,7 +225,13 @@ fn net_phase() {
         Client::connect(server.local_addr()).unwrap_or_else(|e| fail(&format!("connect: {e}")));
     for _ in 0..4 {
         churn
-            .submit("traced", inputs.clone(), Schedule::Optimized, None)
+            .submit(
+                "traced",
+                inputs.clone(),
+                Schedule::Optimized,
+                None,
+                Priority::Normal,
+            )
             .unwrap_or_else(|e| fail(&format!("churn submit: {e}")));
     }
     client
@@ -233,6 +240,7 @@ fn net_phase() {
             inputs.clone(),
             Schedule::Optimized,
             Some(Duration::from_micros(1)),
+            Priority::Normal,
         )
         .unwrap_or_else(|e| fail(&format!("missed submit: {e}")));
     let missed = client

@@ -18,9 +18,8 @@ use kfuse_sim::synthetic_image;
 use crate::gen::generate;
 use crate::rng::SplitMix64;
 
-/// Half the traced frames carry a trace context (exercising the
-/// version-2 encoding), half do not (exercising the pre-revision
-/// version-1 bytes), so both canonical encodings stay covered.
+/// Half the traced frames carry a trace context, half do not, so both
+/// values of the trace-presence byte stay covered.
 fn random_trace(rng: &mut SplitMix64) -> Option<TraceContext> {
     rng.chance(1, 2).then(|| TraceContext {
         trace_id: rng.next_u64(),
@@ -28,10 +27,8 @@ fn random_trace(rng: &mut SplitMix64) -> Option<TraceContext> {
     })
 }
 
-/// Half the submits stay `Normal` (canonical version-1/2 bytes), the
-/// rest split between `High` and `Low` (canonical version-3 bytes), so
-/// the QoS protocol revision gets the same fuzz coverage as the trace
-/// revision.
+/// Half the submits stay `Normal`, the rest split between `High` and
+/// `Low`, so every value of the priority byte stays covered.
 fn random_priority(rng: &mut SplitMix64) -> Priority {
     if rng.chance(1, 2) {
         Priority::Normal
@@ -193,9 +190,8 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "coverage: {seen:?}");
     }
 
-    /// The generator must exercise *both* canonical encodings of every
-    /// traced frame type: with a trace context (version 2) and without
-    /// (version 1 — the pre-revision wire bytes old clients send).
+    /// The generator must exercise every traced frame type both with and
+    /// without a trace context.
     #[test]
     fn generator_covers_traced_and_untraced_variants() {
         // [type 3, 4, 5] × [untraced, traced]
@@ -216,47 +212,8 @@ mod tests {
         );
     }
 
-    /// Old-version acceptance, fuzzed: every traced frame the generator
-    /// produces also decodes from its version-1 (trace-stripped) bytes.
-    #[test]
-    fn traced_frames_decode_as_version_1_without_context() {
-        let limits = Limits::default();
-        let mut checked = 0;
-        for seed in 0..512 {
-            let frame = generate_frame(seed);
-            let Some(_) = frame.trace() else { continue };
-            // Version-3 submits (non-Normal priority) carry a priority
-            // prefix inside the payload; stripping the trace tail alone
-            // does not produce valid version-1 bytes for them.
-            if let Frame::Submit { priority, .. } = &frame {
-                if *priority != Priority::Normal {
-                    continue;
-                }
-            }
-            let bytes = encode_frame(&frame);
-            // Rebuild the pre-revision frame: version 1, payload minus
-            // the 16 trailing trace bytes, checksum re-sealed.
-            let payload = &bytes[kfuse_net::wire::HEADER_LEN..bytes.len() - 16];
-            let mut old = bytes[..kfuse_net::wire::HEADER_LEN].to_vec();
-            old[4] = kfuse_net::wire::VERSION;
-            old[8..12].copy_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-            old[12..16].copy_from_slice(&kfuse_net::wire::checksum(payload).to_le_bytes());
-            old.extend_from_slice(payload);
-            let decoded = decode_frame(&old, &limits)
-                .unwrap_or_else(|e| panic!("seed {seed}: version-1 bytes rejected: {e}"));
-            assert_eq!(decoded.trace(), None, "seed {seed}");
-            assert_eq!(decoded.type_byte(), frame.type_byte(), "seed {seed}");
-            // And the round trip back to version-1 bytes is canonical.
-            assert_eq!(encode_frame(&decoded), old, "seed {seed}");
-            checked += 1;
-        }
-        assert!(checked > 20, "only {checked} traced frames generated");
-    }
-
-    /// The generator must exercise every Submit QoS lane — Normal
-    /// (version 1/2) plus High and Low (version 3), each with and
-    /// without a trace context — so all four version-3 canonical
-    /// encodings stay under fuzz.
+    /// The generator must exercise every Submit priority, each with and
+    /// without a trace context.
     #[test]
     fn generator_covers_priority_lanes() {
         // [Normal, High, Low] × [untraced, traced]

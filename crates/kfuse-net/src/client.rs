@@ -7,9 +7,9 @@
 //! multiplexes all in-flight jobs onto the connection so a slow request
 //! never head-of-line blocks a fast one; match replies to requests by
 //! request id. [`Client::call`] is the simple submit-and-wait
-//! composition (one request in flight, so ordering is moot).
-//! [`Client::submit_qos`] attaches a [`Priority`] class that the
-//! server's weighted-fair scheduler honors.
+//! composition (one request in flight, so ordering is moot). Every
+//! submit carries a [`Priority`] class that the server's weighted-fair
+//! scheduler honors.
 //!
 //! When given an enabled [`Tracer`] ([`Client::set_tracer`]), every
 //! submit generates a fresh [`TraceContext`] that travels on the wire,
@@ -184,68 +184,26 @@ impl Client {
     }
 
     /// Submits without waiting; returns the request id. `deadline` is a
-    /// completion budget measured from server receipt. With a tracer
-    /// installed, a fresh trace context is generated and propagated.
+    /// completion budget measured from server receipt; `priority` is the
+    /// queueing class. With a tracer installed, a fresh trace context is
+    /// generated and propagated.
     pub fn submit(
         &mut self,
         tenant: &str,
         inputs: Vec<(ImageId, Image)>,
         schedule: Schedule,
         deadline: Option<Duration>,
-    ) -> Result<u64, ClientError> {
-        let trace = self.tracer.is_enabled().then(|| TraceContext {
-            trace_id: self.generate_trace_id(),
-            span_id: self.next_id + 1,
-        });
-        self.submit_full(tenant, inputs, schedule, deadline, Priority::Normal, trace)
-    }
-
-    /// Like [`Client::submit`], but with an explicit [`Priority`] class.
-    /// Non-`Normal` priorities put a version-3 frame on the wire.
-    pub fn submit_qos(
-        &mut self,
-        tenant: &str,
-        inputs: Vec<(ImageId, Image)>,
-        schedule: Schedule,
-        deadline: Option<Duration>,
         priority: Priority,
-    ) -> Result<u64, ClientError> {
-        let trace = self.tracer.is_enabled().then(|| TraceContext {
-            trace_id: self.generate_trace_id(),
-            span_id: self.next_id + 1,
-        });
-        self.submit_full(tenant, inputs, schedule, deadline, priority, trace)
-    }
-
-    /// Submits with an explicit trace context (`None` sends a version-1
-    /// frame, exactly what a pre-revision client puts on the wire).
-    pub fn submit_traced(
-        &mut self,
-        tenant: &str,
-        inputs: Vec<(ImageId, Image)>,
-        schedule: Schedule,
-        deadline: Option<Duration>,
-        trace: Option<TraceContext>,
-    ) -> Result<u64, ClientError> {
-        self.submit_full(tenant, inputs, schedule, deadline, Priority::Normal, trace)
-    }
-
-    /// Full-control submit: priority class and trace context both
-    /// explicit. All other submit flavors funnel through here.
-    pub fn submit_full(
-        &mut self,
-        tenant: &str,
-        inputs: Vec<(ImageId, Image)>,
-        schedule: Schedule,
-        deadline: Option<Duration>,
-        priority: Priority,
-        trace: Option<TraceContext>,
     ) -> Result<u64, ClientError> {
         self.next_id += 1;
         let request_id = self.next_id;
         let deadline_us = deadline
             .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1))
             .unwrap_or(0);
+        let trace = self.tracer.is_enabled().then(|| TraceContext {
+            trace_id: self.generate_trace_id(),
+            span_id: request_id,
+        });
         self.last_trace = trace;
         let start = self.tracer.now_us();
         self.send_raw(&Frame::Submit {
@@ -311,7 +269,7 @@ impl Client {
         schedule: Schedule,
         deadline: Option<Duration>,
     ) -> Result<Vec<(ImageId, Image)>, ClientError> {
-        let id = self.submit(tenant, inputs, schedule, deadline)?;
+        let id = self.submit(tenant, inputs, schedule, deadline, Priority::Normal)?;
         let (request_id, outputs) = self.recv_result()?;
         if request_id != id {
             return Err(ClientError::Unexpected("out-of-order reply"));

@@ -550,7 +550,7 @@ fn decode_image(r: &mut ByteReader<'_>, limits: &Limits) -> Result<Image, WireEr
 }
 
 // ---------------------------------------------------------------------------
-// Stream pipelines (wire version 4).
+// Stream pipelines (the `OpenSession` payload).
 // ---------------------------------------------------------------------------
 
 /// Appends a [`StreamPipeline`]: the per-frame pipeline followed by its

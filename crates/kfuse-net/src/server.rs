@@ -38,7 +38,7 @@
 //!
 //! `Submit.deadline_us` is a relative budget; the server anchors it to its
 //! own clock at decode time and threads the absolute instant through
-//! [`Runtime::submit_with_deadline`], so a job that outwaits its budget in
+//! [`Runtime::submit`], so a job that outwaits its budget in
 //! the queue is rejected at dequeue *without executing*. [`Frame::Drain`]
 //! (or [`Server::begin_drain`]) flips a server-wide flag: new submissions
 //! are refused with [`ErrorCode::Draining`] while everything already
@@ -68,7 +68,8 @@ use std::time::{Duration, Instant};
 use kfuse_ir::{ImageId, Pipeline};
 use kfuse_obs::{FlightRecorder, Tracer};
 use kfuse_runtime::{
-    Admission, FrameHandle, JobHandle, MetricsSnapshot, Runtime, RuntimeConfig, RuntimeError,
+    Admission, FrameHandle, JobHandle, MetricsSnapshot, Priority, Request, Runtime, RuntimeConfig,
+    RuntimeError,
 };
 
 use crate::http;
@@ -762,7 +763,7 @@ fn handle_frame(
             pipeline,
         } => {
             if inner.draining.load(Ordering::SeqCst) {
-                return send_error(outbox, 0, ErrorCode::Draining, "server is draining");
+                return send_error(outbox, 0, ErrorCode::Draining, "server is draining", None);
             }
             let computed = pipeline.fingerprint();
             if computed != fingerprint {
@@ -771,6 +772,7 @@ fn handle_frame(
                     0,
                     ErrorCode::FingerprintMismatch,
                     &format!("client fingerprint {fingerprint:#018x} != decoded {computed:#018x}"),
+                    None,
                 );
             }
             let mut registry = inner.registry.lock().unwrap();
@@ -805,7 +807,7 @@ fn handle_frame(
         } => {
             if inner.draining.load(Ordering::SeqCst) {
                 inner.net.refused_draining();
-                return send_error_traced(
+                return send_error(
                     outbox,
                     request_id,
                     ErrorCode::Draining,
@@ -818,7 +820,7 @@ fn handle_frame(
                 match registry.get(&tenant) {
                     Some(reg) => Arc::clone(&reg.pipeline),
                     None => {
-                        return send_error_traced(
+                        return send_error(
                             outbox,
                             request_id,
                             ErrorCode::UnknownPipeline,
@@ -829,7 +831,7 @@ fn handle_frame(
                 }
             };
             if let Err(msg) = check_inputs(&pipeline, &inputs) {
-                return send_error_traced(outbox, request_id, ErrorCode::BadInputs, &msg, trace);
+                return send_error(outbox, request_id, ErrorCode::BadInputs, &msg, trace);
             }
             // The in-flight gate: past `max_in_flight` unanswered jobs
             // the reader parks here and TCP backpressure throttles the
@@ -852,9 +854,15 @@ fn handle_frame(
             // queue/plan/execute spans (and the flight-recorder entry)
             // land under the same trace id the client generated.
             let (trace_id, span_id) = trace.map_or((0, 0), |t| (t.trace_id, t.span_id));
-            match inner.runtime.submit_with_ctx(
-                &tenant, &pipeline, inputs, schedule, priority, deadline, trace_id, span_id,
-            ) {
+            let request = Request {
+                inputs,
+                schedule,
+                priority,
+                deadline,
+                trace_id,
+                span_id,
+            };
+            match inner.runtime.submit(&tenant, &pipeline, request) {
                 Ok(handle) => {
                     // Completion-order multiplexing: the watcher enqueues
                     // the reply the moment the job finishes; the reaper
@@ -879,7 +887,7 @@ fn handle_frame(
                     // error can overtake slower in-flight replies.
                     outbox.gate.release();
                     let (code, msg) = map_runtime_error(&e);
-                    send_error_traced(outbox, request_id, code, &msg, trace)
+                    send_error(outbox, request_id, code, &msg, trace)
                 }
             }
         }
@@ -907,9 +915,13 @@ fn handle_frame(
                     request_id,
                     ErrorCode::Draining,
                     "server is draining",
+                    None,
                 );
             }
-            match inner.runtime.open_session(&tenant, &stream, schedule) {
+            match inner
+                .runtime
+                .open_session(&tenant, &stream, schedule, Priority::Normal)
+            {
                 Ok(session_id) => {
                     conn.sessions.insert(session_id);
                     outbox.push(Reply::Now(Frame::SessionAck {
@@ -919,7 +931,7 @@ fn handle_frame(
                 }
                 Err(e) => {
                     let (code, msg) = map_runtime_error(&e);
-                    send_error(outbox, request_id, code, &msg)
+                    send_error(outbox, request_id, code, &msg, None)
                 }
             }
         }
@@ -931,7 +943,7 @@ fn handle_frame(
         } => {
             if inner.draining.load(Ordering::SeqCst) {
                 inner.net.refused_draining();
-                return send_error_traced(
+                return send_error(
                     outbox,
                     request_id,
                     ErrorCode::Draining,
@@ -940,7 +952,7 @@ fn handle_frame(
                 );
             }
             if !conn.sessions.contains(&session_id) {
-                return send_error_traced(
+                return send_error(
                     outbox,
                     request_id,
                     ErrorCode::UnknownSession,
@@ -963,7 +975,7 @@ fn handle_frame(
             let (trace_id, span_id) = trace.map_or((0, 0), |t| (t.trace_id, t.span_id));
             match inner
                 .runtime
-                .submit_frame_with_ctx(session_id, inputs, trace_id, span_id)
+                .submit_frame(session_id, inputs, trace_id, span_id)
             {
                 Ok(handle) => {
                     let reaper = handle.duplicate();
@@ -980,7 +992,7 @@ fn handle_frame(
                 Err(e) => {
                     outbox.gate.release();
                     let (code, msg) = map_runtime_error(&e);
-                    send_error_traced(outbox, request_id, code, &msg, trace)
+                    send_error(outbox, request_id, code, &msg, trace)
                 }
             }
         }
@@ -995,6 +1007,7 @@ fn handle_frame(
                     request_id,
                     ErrorCode::UnknownSession,
                     &format!("no session {session_id} on this connection"),
+                    None,
                 );
             }
             let stats = if drain {
@@ -1016,7 +1029,7 @@ fn handle_frame(
                 })),
                 Err(e) => {
                     let (code, msg) = map_runtime_error(&e);
-                    send_error(outbox, request_id, code, &msg)
+                    send_error(outbox, request_id, code, &msg, None)
                 }
             }
         }
@@ -1033,6 +1046,7 @@ fn handle_frame(
             0,
             ErrorCode::Unsupported,
             "frame type not accepted in the client-to-server direction",
+            None,
         ),
     }
 }
@@ -1080,13 +1094,9 @@ fn map_runtime_error(e: &RuntimeError) -> (ErrorCode, String) {
     (code, e.to_string())
 }
 
-fn send_error(outbox: &Arc<Outbox>, request_id: u64, code: ErrorCode, message: &str) -> bool {
-    send_error_traced(outbox, request_id, code, message, None)
-}
-
-/// Like [`send_error`], but echoes the request's trace context so even
-/// refusals stay attributable to the trace that caused them.
-fn send_error_traced(
+/// Queues a typed error reply echoing the request's trace context, so
+/// even refusals stay attributable to the trace that caused them.
+fn send_error(
     outbox: &Arc<Outbox>,
     request_id: u64,
     code: ErrorCode,

@@ -1,49 +1,27 @@
-//! The kfuse wire protocol: versioned, length-prefixed, checksummed frames.
+//! The kfuse wire protocol: length-prefixed, checksummed frames.
 //!
 //! Every message on a kfuse connection is one *frame*:
 //!
 //! ```text
 //! offset  size  field
 //!      0     4  magic           "KFN1"
-//!      4     1  version         0x01 or 0x02 (traced)
-//!      5     1  frame type      see [`Frame`]
+//!      4     1  version         0x05 (the only one accepted)
+//!      5     1  frame type      1–14, see [`Frame`]
 //!      6     2  reserved        must be zero (LE)
 //!      8     4  payload length  bytes after the header (LE)
 //!     12     4  checksum        FNV-1a-32 of the payload (LE)
 //!     16     …  payload         frame-type specific
 //! ```
 //!
-//! **Version 2 (traced)** is the additive trace-context revision: the
-//! `Submit`, `ResultOk`, and `Error` payloads carry a trailing 16-byte
-//! [`TraceContext`] (`trace_id` + `span_id`, both u64 LE) after their
-//! version-1 fields. Encoding is *canonical per presence*: a frame with
-//! trace context always encodes as version 2, a frame without always as
-//! version 1 — so decode→re-encode is bit-identical in both directions
-//! and pre-revision peers keep interoperating (they simply never send
-//! version 2). A version-2 header on any other frame type is rejected as
-//! malformed: no frame has two valid encodings.
-//!
-//! **Version 3 (QoS)** is the additive priority revision, `Submit` only:
-//! after the version-1 fields the payload carries a priority byte
-//! (`1` = high, `2` = low) and a trace-presence byte (`0`/`1`), then the
-//! 16-byte trace context iff present. The same canonical-per-presence
-//! rule extends: a submit encodes as version 3 **iff** its priority is
-//! not `Normal` (normal-priority submits keep their version-1/2 bytes,
-//! so pre-revision captures stay bit-identical); a version-3 header
-//! announcing normal priority, an unknown priority byte, or any frame
-//! type other than `Submit` is malformed. Replies carry no priority —
-//! the class shapes queueing, not the result.
-//!
-//! **Version 4 (streaming)** adds the session frames (types 10–14):
-//! `OpenSession` (tenant + schedule + a serialized
-//! [`kfuse_stream::StreamPipeline`]), `SessionAck`, `SubmitFrame` (the
-//! next frame of a session's input sequence; replies reuse
-//! `ResultOk`/`Error` keyed by `request_id`), `CloseSession`
-//! (`drain` = fence only or full close), and `CloseSessionAck` carrying
-//! the session's frame accounting. Gating is strict both ways: the
-//! session frame types are *only* valid at version 4, and version 4 is
-//! *only* valid for them — pre-revision frames keep their exact
-//! pre-revision bytes, and every frame still has exactly one encoding.
+//! One payload rule covers the optional fields: `Submit` carries a
+//! priority byte (`0` normal, `1` high, `2` low) after its inputs, and
+//! `Submit`, `ResultOk`, `Error` and `SubmitFrame` end with a
+//! trace-presence byte (`0`/`1`) followed by the 16-byte [`TraceContext`]
+//! (`trace_id` + `span_id`, both u64 LE) iff the byte is `1`. Every field
+//! is always encoded, so each frame has exactly one encoding and
+//! decode→re-encode is bit-identical. Any other priority or presence
+//! byte is malformed. A header with any version but [`VERSION`] fails
+//! with [`WireError::BadVersion`] before its payload is read.
 //!
 //! All multi-byte integers are little-endian; `f32` values travel as their
 //! IEEE-754 bit patterns so results round-trip **bit-identically** (the
@@ -70,18 +48,9 @@ use crate::codec;
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"KFN1";
-/// Base protocol version (no trace context).
-pub const VERSION: u8 = 1;
-/// Trace-context protocol revision: `Submit`/`ResultOk`/`Error` payloads
-/// end with a 16-byte [`TraceContext`].
-pub const VERSION_TRACED: u8 = 2;
-/// QoS protocol revision (`Submit` only): the payload carries a priority
-/// byte and a trace-presence byte after the version-1 fields. Only
-/// non-normal priorities encode at this version.
-pub const VERSION_QOS: u8 = 3;
-/// Streaming-session protocol revision: the session frame types (10–14)
-/// exist only at this version, and this version is valid only for them.
-pub const VERSION_STREAM: u8 = 4;
+/// The protocol version. Numbers 1–4 belonged to earlier builds, whose
+/// frames fail the header check instead of being misparsed.
+pub const VERSION: u8 = 5;
 /// Fixed frame-header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// On-wire size of a [`TraceContext`] (two u64s).
@@ -344,11 +313,9 @@ pub enum Frame {
         schedule: Schedule,
         /// Input images keyed by the pipeline's [`ImageId`]s.
         inputs: Vec<(ImageId, Image)>,
-        /// Queueing class (version-3 frames only; pre-revision clients
-        /// always submit `Normal`).
+        /// Queueing class.
         priority: Priority,
-        /// Request trace identity (version ≥ 2 frames only; `None` from
-        /// pre-revision clients).
+        /// Request trace identity, if the client traces.
         trace: Option<TraceContext>,
     },
     /// Successful execution result.
@@ -389,7 +356,7 @@ pub enum Frame {
     DrainAck,
     /// Open a temporal streaming session: the server compiles the stream's
     /// frame pipeline once and keeps its state planes alive between
-    /// frames. Version-4 frames only.
+    /// frames.
     OpenSession {
         /// Client-chosen id echoed in the `SessionAck`/`Error` reply.
         request_id: u64,
@@ -476,27 +443,6 @@ impl Frame {
             | Frame::Error { trace, .. }
             | Frame::SubmitFrame { trace, .. } => *trace,
             _ => None,
-        }
-    }
-
-    /// The wire version this frame canonically encodes as: version 4 for
-    /// the session frames (which exist at no other version), version 3
-    /// iff it is a non-normal-priority submit, else version 2 iff it
-    /// carries a trace context, version 1 otherwise. Exactly one encoding
-    /// per frame, at the oldest version that can express it.
-    pub fn wire_version(&self) -> u8 {
-        if self.type_byte() >= 10 {
-            return VERSION_STREAM;
-        }
-        if let Frame::Submit { priority, .. } = self {
-            if *priority != Priority::Normal {
-                return VERSION_QOS;
-            }
-        }
-        if self.trace().is_some() {
-            VERSION_TRACED
-        } else {
-            VERSION
         }
     }
 
@@ -666,13 +612,7 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             put_u64(out, *deadline_us);
             put_u8(out, schedule_byte(*schedule));
             codec::encode_bound_images(out, inputs);
-            if *priority != Priority::Normal {
-                // Version-3 tail: priority byte + trace-presence byte
-                // (+ context). The explicit presence flag keeps the
-                // priority field orthogonal to tracing.
-                put_u8(out, priority_byte(*priority));
-                put_u8(out, u8::from(trace.is_some()));
-            }
+            put_u8(out, priority_byte(*priority));
             put_trace(out, trace);
         }
         Frame::ResultOk {
@@ -724,9 +664,6 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             put_u64(out, *request_id);
             put_u64(out, *session_id);
             codec::encode_bound_images(out, inputs);
-            // Every type-12 frame is version 4, so the trace-presence
-            // byte is always encoded — one canonical encoding either way.
-            put_u8(out, u8::from(trace.is_some()));
             put_trace(out, trace);
         }
         Frame::CloseSession {
@@ -752,29 +689,29 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     }
 }
 
-/// Appends the 16-byte trace context for version-2 frames; version-1
-/// frames (no context) append nothing.
+/// Appends the trace-presence byte, then the 16-byte context if present.
 fn put_trace(out: &mut Vec<u8>, trace: &Option<TraceContext>) {
+    put_u8(out, u8::from(trace.is_some()));
     if let Some(t) = trace {
         put_u64(out, t.trace_id);
         put_u64(out, t.span_id);
     }
 }
 
-/// Reads the trailing trace context of a version-2 payload (`None` for
-/// version 1, which has no such field).
-fn read_trace(r: &mut ByteReader<'_>, version: u8) -> Result<Option<TraceContext>, WireError> {
-    if version != VERSION_TRACED {
-        return Ok(None);
+/// Reads the trace-presence byte and, if it says so, the context.
+fn read_trace(r: &mut ByteReader<'_>) -> Result<Option<TraceContext>, WireError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(TraceContext {
+            trace_id: r.u64()?,
+            span_id: r.u64()?,
+        })),
+        other => Err(WireError::Malformed(format!(
+            "bad trace-presence byte {other}"
+        ))),
     }
-    Ok(Some(TraceContext {
-        trace_id: r.u64()?,
-        span_id: r.u64()?,
-    }))
 }
 
-/// Wire byte for a non-normal priority (`Normal` never encodes one —
-/// its submits stay at version ≤ 2).
 fn priority_byte(p: Priority) -> u8 {
     match p {
         Priority::Normal => 0,
@@ -785,13 +722,9 @@ fn priority_byte(p: Priority) -> u8 {
 
 fn priority_from_byte(b: u8) -> Result<Priority, WireError> {
     Ok(match b {
+        0 => Priority::Normal,
         1 => Priority::High,
         2 => Priority::Low,
-        0 => {
-            return Err(WireError::Malformed(
-                "version 3 announcing normal priority; canonical encoding is version ≤ 2".into(),
-            ))
-        }
         other => {
             return Err(WireError::Malformed(format!(
                 "unknown priority byte {other}"
@@ -824,14 +757,12 @@ fn schedule_from_byte(b: u8) -> Result<Schedule, WireError> {
 }
 
 /// Serializes a frame as header + payload, ready to write to a stream.
-/// The header's version byte is [`Frame::wire_version`] — version 2 iff
-/// the frame carries a trace context.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut payload = Vec::new();
     encode_payload(frame, &mut payload);
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
-    out.push(frame.wire_version());
+    out.push(VERSION);
     out.push(frame.type_byte());
     out.extend_from_slice(&0u16.to_le_bytes());
     out.extend_from_slice(
@@ -845,9 +776,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Validated frame header:
-/// `(version, type byte, payload length, payload checksum)`.
-/// Both [`VERSION`] and [`VERSION_TRACED`] are accepted — a server built
-/// at this revision still decodes every pre-revision frame.
+/// `(version, type byte, payload length, payload checksum)`. Only
+/// [`VERSION`] is accepted.
 pub fn parse_header(
     header: &[u8; HEADER_LEN],
     limits: &Limits,
@@ -857,7 +787,7 @@ pub fn parse_header(
         return Err(WireError::BadMagic(magic));
     }
     let version = header[4];
-    if !(VERSION..=VERSION_STREAM).contains(&version) {
+    if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
     let ftype = header[5];
@@ -880,36 +810,15 @@ pub fn parse_header(
 }
 
 /// Decodes one payload whose header already validated as `(version,
-/// ftype)`. Version 2 is only meaningful for `Submit`/`ResultOk`/`Error`
-/// (the traced frames), version 3 only for `Submit` (the prioritized
-/// frame), and version 4 only — and mandatorily — for the session frames
-/// (types 10–14); elsewhere they are rejected so every frame has exactly
-/// one valid encoding.
+/// ftype)`.
 pub fn decode_payload(
     version: u8,
     ftype: u8,
     payload: &[u8],
     limits: &Limits,
 ) -> Result<Frame, WireError> {
-    if version == VERSION_TRACED && !matches!(ftype, 3..=5) {
-        return Err(WireError::Malformed(format!(
-            "frame type {ftype} carries no trace context; version 2 is invalid for it"
-        )));
-    }
-    if version == VERSION_QOS && ftype != 3 {
-        return Err(WireError::Malformed(format!(
-            "frame type {ftype} carries no priority; version 3 is invalid for it"
-        )));
-    }
-    if version == VERSION_STREAM && !matches!(ftype, 10..=14) {
-        return Err(WireError::Malformed(format!(
-            "frame type {ftype} is not a session frame; version 4 is invalid for it"
-        )));
-    }
-    if matches!(ftype, 10..=14) && version != VERSION_STREAM {
-        return Err(WireError::Malformed(format!(
-            "session frame type {ftype} requires version 4, got {version}"
-        )));
+    if version != VERSION {
+        return Err(WireError::BadVersion(version));
     }
     let mut r = ByteReader::new(payload);
     let frame = match ftype {
@@ -932,24 +841,8 @@ pub fn decode_payload(
             let deadline_us = r.u64()?;
             let schedule = schedule_from_byte(r.u8()?)?;
             let inputs = codec::decode_bound_images(&mut r, limits)?;
-            let (priority, trace) = if version == VERSION_QOS {
-                let priority = priority_from_byte(r.u8()?)?;
-                let trace = match r.u8()? {
-                    0 => None,
-                    1 => Some(TraceContext {
-                        trace_id: r.u64()?,
-                        span_id: r.u64()?,
-                    }),
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "bad trace-presence byte {other}"
-                        )))
-                    }
-                };
-                (priority, trace)
-            } else {
-                (Priority::Normal, read_trace(&mut r, version)?)
-            };
+            let priority = priority_from_byte(r.u8()?)?;
+            let trace = read_trace(&mut r)?;
             Frame::Submit {
                 request_id,
                 tenant,
@@ -963,7 +856,7 @@ pub fn decode_payload(
         4 => {
             let request_id = r.u64()?;
             let outputs = codec::decode_bound_images(&mut r, limits)?;
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Frame::ResultOk {
                 request_id,
                 outputs,
@@ -976,7 +869,7 @@ pub fn decode_payload(
             let code = ErrorCode::from_u16(raw)
                 .ok_or_else(|| WireError::Malformed(format!("unknown error code {raw}")))?;
             let message = r.string(limits, "error message")?;
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Frame::Error {
                 request_id,
                 code,
@@ -1008,18 +901,7 @@ pub fn decode_payload(
             let request_id = r.u64()?;
             let session_id = r.u64()?;
             let inputs = codec::decode_bound_images(&mut r, limits)?;
-            let trace = match r.u8()? {
-                0 => None,
-                1 => Some(TraceContext {
-                    trace_id: r.u64()?,
-                    span_id: r.u64()?,
-                }),
-                other => {
-                    return Err(WireError::Malformed(format!(
-                        "bad trace-presence byte {other}"
-                    )))
-                }
-            };
+            let trace = read_trace(&mut r)?;
             Frame::SubmitFrame {
                 request_id,
                 session_id,
@@ -1175,40 +1057,53 @@ mod tests {
         });
     }
 
+    /// Every priority, with and without a trace context, round-trips
+    /// bit-identically; NaN and -0.0 inputs survive bit-exactly.
     #[test]
     fn submit_round_trips_with_nan_payload() {
         let desc = ImageDesc::new("in", 3, 2, 1);
         let data = vec![f32::NAN, -0.0, f32::INFINITY, 1.5, -2.5, f32::MIN_POSITIVE];
         let img = Image::from_data(desc, data);
-        let frame = Frame::Submit {
-            request_id: 42,
-            tenant: "harris".into(),
-            deadline_us: 5_000_000,
-            schedule: Schedule::Optimized,
-            inputs: vec![(ImageId(0), img)],
-            priority: Priority::Normal,
-            trace: None,
-        };
-        match roundtrip(&frame) {
-            Frame::Submit {
-                request_id,
-                tenant,
-                deadline_us,
-                schedule,
-                inputs,
-                ..
-            } => {
-                assert_eq!(request_id, 42);
-                assert_eq!(tenant, "harris");
-                assert_eq!(deadline_us, 5_000_000);
-                assert_eq!(schedule, Schedule::Optimized);
-                assert_eq!(inputs.len(), 1);
-                // NaN and -0.0 survive bit-exactly.
-                let bits: Vec<u32> = inputs[0].1.data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits[0], f32::NAN.to_bits());
-                assert_eq!(bits[1], (-0.0f32).to_bits());
+        for priority in [Priority::Normal, Priority::High, Priority::Low] {
+            let submit = |trace| Frame::Submit {
+                request_id: 42,
+                tenant: "harris".into(),
+                deadline_us: 5_000_000,
+                schedule: Schedule::Optimized,
+                inputs: vec![(ImageId(0), img.clone())],
+                priority,
+                trace,
+            };
+            assert_eq!(
+                encode_frame(&submit(Some(ctx()))).len(),
+                encode_frame(&submit(None)).len() + TRACE_CONTEXT_LEN,
+                "trace context is exactly 16 additive bytes"
+            );
+            for trace in [None, Some(ctx())] {
+                match roundtrip(&submit(trace)) {
+                    Frame::Submit {
+                        request_id,
+                        tenant,
+                        deadline_us,
+                        schedule,
+                        inputs,
+                        priority: p,
+                        trace: t,
+                    } => {
+                        assert_eq!(request_id, 42);
+                        assert_eq!(tenant, "harris");
+                        assert_eq!(deadline_us, 5_000_000);
+                        assert_eq!(schedule, Schedule::Optimized);
+                        assert_eq!((p, t), (priority, trace));
+                        assert_eq!(inputs.len(), 1);
+                        let bits: Vec<u32> =
+                            inputs[0].1.data().iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(bits[0], f32::NAN.to_bits());
+                        assert_eq!(bits[1], (-0.0f32).to_bits());
+                    }
+                    other => panic!("decoded wrong frame: {other:?}"),
+                }
             }
-            other => panic!("decoded wrong frame: {other:?}"),
         }
     }
 
@@ -1223,12 +1118,15 @@ mod tests {
             Err(WireError::BadMagic(_))
         ));
 
-        let mut bad = good.clone();
-        bad[4] = 9;
-        assert!(matches!(
-            decode_frame(&bad, &limits()),
-            Err(WireError::BadVersion(9))
-        ));
+        // Versions 1–4 are earlier builds' frames: refused, not misparsed.
+        for v in [1, 2, 3, 4, 9] {
+            let mut bad = good.clone();
+            bad[4] = v;
+            match decode_frame(&bad, &limits()) {
+                Err(WireError::BadVersion(got)) => assert_eq!(got, v),
+                other => panic!("version {v}: expected BadVersion, got {other:?}"),
+            }
+        }
 
         let mut bad = good.clone();
         bad[5] = 200;
@@ -1331,47 +1229,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_frames_encode_as_version_2() {
-        let traced = Frame::Submit {
-            request_id: 1,
-            tenant: "t".into(),
-            deadline_us: 0,
-            schedule: Schedule::Basic,
-            inputs: vec![],
-            priority: Priority::Normal,
-            trace: Some(ctx()),
-        };
-        let bytes = encode_frame(&traced);
-        assert_eq!(bytes[4], VERSION_TRACED);
-        match roundtrip(&traced) {
-            Frame::Submit { trace, .. } => assert_eq!(trace, Some(ctx())),
-            other => panic!("decoded wrong frame: {other:?}"),
-        }
-
-        // Untraced encodes as version 1: exactly the pre-revision bytes.
-        let untraced = Frame::Submit {
-            request_id: 1,
-            tenant: "t".into(),
-            deadline_us: 0,
-            schedule: Schedule::Basic,
-            inputs: vec![],
-            priority: Priority::Normal,
-            trace: None,
-        };
-        let old_bytes = encode_frame(&untraced);
-        assert_eq!(old_bytes[4], VERSION);
-        assert_eq!(
-            bytes.len(),
-            old_bytes.len() + TRACE_CONTEXT_LEN,
-            "trace context is exactly 16 additive bytes"
-        );
-        match roundtrip(&untraced) {
-            Frame::Submit { trace, .. } => assert_eq!(trace, None),
-            other => panic!("decoded wrong frame: {other:?}"),
-        }
-    }
-
-    #[test]
     fn traced_replies_round_trip() {
         match roundtrip(&Frame::ResultOk {
             request_id: 9,
@@ -1392,226 +1249,87 @@ mod tests {
         }
     }
 
-    /// A pre-revision (version-1) frame — byte-for-byte what an old
-    /// client sends — must still decode, with `trace: None`.
-    #[test]
-    fn version_1_frames_still_accepted() {
-        let bytes = encode_frame(&Frame::Submit {
-            request_id: 3,
-            tenant: "old".into(),
-            deadline_us: 10,
-            schedule: Schedule::Baseline,
-            inputs: vec![],
-            priority: Priority::Normal,
-            trace: None,
-        });
-        assert_eq!(bytes[4], VERSION);
-        match decode_frame(&bytes, &limits()).unwrap() {
-            Frame::Submit {
-                request_id, trace, ..
-            } => {
-                assert_eq!(request_id, 3);
-                assert_eq!(trace, None);
-            }
-            other => panic!("decoded wrong frame: {other:?}"),
+    /// Re-frames `bytes` after `mutate` edits its payload, so the
+    /// payload check is what trips, not the length or checksum.
+    fn reseal(bytes: &[u8], mutate: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = bytes[HEADER_LEN..].to_vec();
+        mutate(&mut payload);
+        let mut out = bytes[..HEADER_LEN].to_vec();
+        out[8..12].copy_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        out[12..16].copy_from_slice(&checksum(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    fn expect_err(bytes: &[u8], want: fn(&WireError) -> bool) {
+        match decode_frame(bytes, &limits()) {
+            Err(e) if want(&e) => {}
+            other => panic!("unexpected decode result: {other:?}"),
         }
     }
 
-    /// Hostile-peer rules for the new field: a version-2 header on a
-    /// frame type that carries no trace context is malformed (no frame
-    /// may have two encodings), and a version-2 traced frame whose
-    /// payload is missing the 16 trailing bytes is truncated.
+    /// Hostile-peer rules for the trace field of the replies: a presence
+    /// byte other than 0/1 is malformed, a context that is announced but
+    /// missing or cut short is truncated, and a context behind a presence
+    /// byte of 0 is trailing bytes, never silently dropped.
     #[test]
     fn hostile_trace_context_rejected() {
-        let mut bytes = encode_frame(&Frame::Ping { token: 5 });
-        bytes[4] = VERSION_TRACED;
-        // Re-seal the checksum (unchanged payload) so the version check
-        // is what trips, not the checksum.
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::Malformed(_))
-        ));
+        let replies = [
+            Frame::ResultOk {
+                request_id: 1,
+                outputs: vec![],
+                trace: None,
+            },
+            Frame::Error {
+                request_id: 1,
+                code: ErrorCode::QueueFull,
+                message: String::new(),
+                trace: None,
+            },
+        ];
+        for untraced in replies {
+            let good = encode_frame(&untraced);
+            let presence = good.len() - HEADER_LEN - 1;
+            let bad = reseal(&good, |p| p[presence] = 7);
+            expect_err(&bad, |e| matches!(e, WireError::Malformed(_)));
+            let bad = reseal(&good, |p| p[presence] = 1);
+            expect_err(&bad, |e| matches!(e, WireError::Truncated));
 
-        let traced = encode_frame(&Frame::Error {
-            request_id: 1,
-            code: ErrorCode::QueueFull,
-            message: String::new(),
-            trace: Some(ctx()),
-        });
-        // Strip half the trace context and re-frame honestly.
-        let payload = &traced[HEADER_LEN..traced.len() - 8];
-        let mut cut = traced[..HEADER_LEN].to_vec();
-        cut[8..12].copy_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-        cut[12..16].copy_from_slice(&checksum(payload).to_le_bytes());
-        cut.extend_from_slice(payload);
-        assert!(matches!(
-            decode_frame(&cut, &limits()),
-            Err(WireError::Truncated)
-        ));
+            let mut traced = untraced.clone();
+            if let Frame::ResultOk { trace, .. } | Frame::Error { trace, .. } = &mut traced {
+                *trace = Some(ctx());
+            }
+            let good = encode_frame(&traced);
+            let bad = reseal(&good, |p| p.truncate(p.len() - 8));
+            expect_err(&bad, |e| matches!(e, WireError::Truncated));
+            let bad = reseal(&good, |p| p[presence] = 0);
+            expect_err(&bad, |e| matches!(e, WireError::TrailingBytes(16)));
+        }
     }
 
-    /// Version 1 with trailing trace-context-sized bytes is *not*
-    /// silently reinterpreted — the decoder flags the extra bytes.
+    /// Hostile-peer rules for the submit tail: an unknown priority byte
+    /// or presence byte is malformed; an announced but missing context,
+    /// or a tail chopped off entirely, is truncated.
     #[test]
-    fn version_1_with_trailing_trace_bytes_rejected() {
-        let traced = encode_frame(&Frame::Error {
-            request_id: 1,
-            code: ErrorCode::QueueFull,
-            message: String::new(),
-            trace: Some(ctx()),
-        });
-        let mut downgraded = traced.clone();
-        downgraded[4] = VERSION;
-        assert!(matches!(
-            decode_frame(&downgraded, &limits()),
-            Err(WireError::TrailingBytes(16))
-        ));
-    }
-
-    fn qos_submit(priority: Priority, trace: Option<TraceContext>) -> Frame {
-        Frame::Submit {
+    fn hostile_qos_frames_rejected() {
+        let good = encode_frame(&Frame::Submit {
             request_id: 11,
             tenant: "q".into(),
             deadline_us: 250,
             schedule: Schedule::Optimized,
             inputs: vec![],
-            priority,
-            trace,
-        }
-    }
-
-    /// Non-normal priorities encode as version 3 and round-trip
-    /// bit-identically, with and without trace context; normal priority
-    /// keeps the pre-revision bytes exactly.
-    #[test]
-    fn prioritized_submits_encode_as_version_3() {
-        for (priority, trace) in [
-            (Priority::High, None),
-            (Priority::Low, None),
-            (Priority::High, Some(ctx())),
-            (Priority::Low, Some(ctx())),
-        ] {
-            let frame = qos_submit(priority, trace);
-            let bytes = encode_frame(&frame);
-            assert_eq!(bytes[4], VERSION_QOS);
-            match roundtrip(&frame) {
-                Frame::Submit {
-                    priority: p,
-                    trace: t,
-                    ..
-                } => {
-                    assert_eq!(p, priority);
-                    assert_eq!(t, trace);
-                }
-                other => panic!("decoded wrong frame: {other:?}"),
-            }
-        }
-        // Normal priority never bumps the version: the bytes are exactly
-        // what a pre-revision client sends.
-        assert_eq!(
-            encode_frame(&qos_submit(Priority::Normal, None))[4],
-            VERSION
-        );
-        assert_eq!(
-            encode_frame(&qos_submit(Priority::Normal, Some(ctx())))[4],
-            VERSION_TRACED
-        );
-        // The untraced v3 tail is exactly 2 additive bytes over v1.
-        let v1 = encode_frame(&qos_submit(Priority::Normal, None));
-        let v3 = encode_frame(&qos_submit(Priority::High, None));
-        assert_eq!(v3.len(), v1.len() + 2);
-    }
-
-    /// Hostile-peer rules for version 3: normal priority announced at
-    /// v3, unknown priority bytes, bad trace-presence bytes, v3 on a
-    /// non-submit frame, and a truncated tail are all rejected.
-    #[test]
-    fn hostile_qos_frames_rejected() {
-        // Re-frame a valid v3 payload with a mutated tail byte.
-        let reseal = |bytes: &[u8], mutate: &dyn Fn(&mut Vec<u8>)| {
-            let mut payload = bytes[HEADER_LEN..].to_vec();
-            mutate(&mut payload);
-            let mut out = bytes[..HEADER_LEN].to_vec();
-            out[8..12].copy_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-            out[12..16].copy_from_slice(&checksum(&payload).to_le_bytes());
-            out.extend_from_slice(&payload);
-            out
-        };
-        let good = encode_frame(&qos_submit(Priority::High, None));
-
-        // Priority byte 0 (normal) at version 3: non-canonical.
+            priority: Priority::High,
+            trace: None,
+        });
         let n = good.len() - HEADER_LEN;
-        let bad = reseal(&good, &|p| p[n - 2] = 0);
-        assert!(matches!(
-            decode_frame(&bad, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-        // Unknown priority byte.
-        let bad = reseal(&good, &|p| p[n - 2] = 9);
-        assert!(matches!(
-            decode_frame(&bad, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-        // Bad trace-presence byte.
-        let bad = reseal(&good, &|p| p[n - 1] = 7);
-        assert!(matches!(
-            decode_frame(&bad, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-        // Presence byte says traced but the context bytes are missing.
-        let bad = reseal(&good, &|p| {
-            let n = p.len();
-            p[n - 1] = 1;
-        });
-        assert!(matches!(
-            decode_frame(&bad, &limits()),
-            Err(WireError::Truncated)
-        ));
-        // Tail chopped off entirely, honestly re-framed: truncated.
-        let bad = reseal(&good, &|p| p.truncate(p.len() - 2));
-        assert!(matches!(
-            decode_frame(&bad, &limits()),
-            Err(WireError::Truncated)
-        ));
-
-        // Version 3 on a frame type that carries no priority.
-        let mut ping = encode_frame(&Frame::Ping { token: 5 });
-        ping[4] = VERSION_QOS;
-        assert!(matches!(
-            decode_frame(&ping, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-        // …and on a traced reply (type 4/5 allow v2, not v3).
-        let mut err = encode_frame(&Frame::Error {
-            request_id: 1,
-            code: ErrorCode::ConnectionLimit,
-            message: String::new(),
-            trace: Some(ctx()),
-        });
-        err[4] = VERSION_QOS;
-        assert!(matches!(
-            decode_frame(&err, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    /// A v3 frame "downgraded" to a v1/v2 header is not silently
-    /// reinterpreted: the QoS tail surfaces as trailing bytes.
-    #[test]
-    fn version_3_downgrade_rejected() {
-        let mut bytes = encode_frame(&qos_submit(Priority::Low, None));
-        bytes[4] = VERSION;
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::TrailingBytes(2))
-        ));
-        let mut bytes = encode_frame(&qos_submit(Priority::Low, Some(ctx())));
-        bytes[4] = VERSION_TRACED;
-        // v2 consumes 16 of the 18 tail bytes as the context.
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::TrailingBytes(2))
-        ));
+        let bad = reseal(&good, |p| p[n - 2] = 9);
+        expect_err(&bad, |e| matches!(e, WireError::Malformed(_)));
+        let bad = reseal(&good, |p| p[n - 1] = 7);
+        expect_err(&bad, |e| matches!(e, WireError::Malformed(_)));
+        let bad = reseal(&good, |p| p[n - 1] = 1);
+        expect_err(&bad, |e| matches!(e, WireError::Truncated));
+        let bad = reseal(&good, |p| p.truncate(n - 2));
+        expect_err(&bad, |e| matches!(e, WireError::Truncated));
     }
 
     #[test]
@@ -1668,7 +1386,6 @@ mod tests {
             schedule: Schedule::Overlapped,
             stream: stream.clone(),
         });
-        assert_eq!(encode_frame(&open)[4], VERSION_STREAM);
         match open {
             Frame::OpenSession {
                 request_id,
@@ -1709,8 +1426,8 @@ mod tests {
 
         let desc = ImageDesc::new("frame", 8, 6, 1);
         let img = Image::from_data(desc, vec![1.0; 48]);
-        // SubmitFrame with and without a trace — both are version 4 (the
-        // presence byte, not the version, signals the context).
+        // SubmitFrame with and without a trace: the presence byte
+        // signals the context.
         for trace in [None, Some(ctx())] {
             let frame = Frame::SubmitFrame {
                 request_id: 5,
@@ -1718,7 +1435,6 @@ mod tests {
                 inputs: vec![(ImageId(0), img.clone())],
                 trace,
             };
-            assert_eq!(frame.wire_version(), VERSION_STREAM);
             match roundtrip(&frame) {
                 Frame::SubmitFrame {
                     session_id,
@@ -1735,67 +1451,32 @@ mod tests {
         }
     }
 
-    /// Version 4 is valid only for the session frames, and the session
-    /// frames are valid only at version 4 — no silent reinterpretation
-    /// in either direction.
+    /// Hostile-peer rules for the session frames: an unknown state-source
+    /// kind in `OpenSession` and a bad trace-presence byte on
+    /// `SubmitFrame` are malformed.
     #[test]
     fn version_4_gating_is_strict_both_ways() {
-        // A pre-revision frame relabeled as v4 is malformed.
-        let mut bytes = encode_frame(&Frame::Ping { token: 1 });
-        bytes[4] = VERSION_STREAM;
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::Malformed(_))
-        ));
-
-        // A session frame downgraded to any earlier version is malformed.
-        let ack = encode_frame(&Frame::SessionAck {
-            request_id: 1,
-            session_id: 2,
-        });
-        for v in [VERSION, VERSION_TRACED, VERSION_QOS] {
-            let mut bytes = ack.clone();
-            bytes[4] = v;
-            assert!(matches!(
-                decode_frame(&bytes, &limits()),
-                Err(WireError::Malformed(_))
-            ));
-        }
-
-        // A hostile source kind in the state table is rejected.
-        let mut bytes = encode_frame(&Frame::OpenSession {
+        let bytes = encode_frame(&Frame::OpenSession {
             request_id: 1,
             tenant: "t".into(),
             schedule: Schedule::Optimized,
             stream: test_stream(),
         });
         // State table tail layout: ... tap u32 | kind u8 | id u32 | depth u8.
-        let kind_pos = bytes.len() - 6;
-        assert_eq!(bytes[kind_pos], 1, "kind byte located");
-        bytes[kind_pos] = 9;
-        let payload_start = HEADER_LEN;
-        let cksum = checksum(&bytes[payload_start..]);
-        bytes[12..16].copy_from_slice(&cksum.to_le_bytes());
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::Malformed(_))
-        ));
+        let kind_pos = bytes.len() - HEADER_LEN - 6;
+        assert_eq!(bytes[HEADER_LEN + kind_pos], 1, "kind byte located");
+        let bad = reseal(&bytes, |p| p[kind_pos] = 9);
+        expect_err(&bad, |e| matches!(e, WireError::Malformed(_)));
 
-        // A bad trace-presence byte on SubmitFrame is rejected.
-        let mut bytes = encode_frame(&Frame::SubmitFrame {
+        let bytes = encode_frame(&Frame::SubmitFrame {
             request_id: 1,
             session_id: 2,
             inputs: vec![],
             trace: None,
         });
-        let presence = bytes.len() - 1;
-        assert_eq!(bytes[presence], 0);
-        bytes[presence] = 7;
-        let cksum = checksum(&bytes[HEADER_LEN..]);
-        bytes[12..16].copy_from_slice(&cksum.to_le_bytes());
-        assert!(matches!(
-            decode_frame(&bytes, &limits()),
-            Err(WireError::Malformed(_))
-        ));
+        let presence = bytes.len() - HEADER_LEN - 1;
+        assert_eq!(bytes[HEADER_LEN + presence], 0);
+        let bad = reseal(&bytes, |p| p[presence] = 7);
+        expect_err(&bad, |e| matches!(e, WireError::Malformed(_)));
     }
 }

@@ -36,6 +36,21 @@ fn expect_error_or_close(stream: &mut TcpStream) {
     }
 }
 
+/// A typed `Malformed` error frame, then the close — nothing else.
+fn expect_typed_error_then_close(stream: &mut TcpStream) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    match read_frame(stream, &Limits::default()) {
+        Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected a Malformed error frame, got {other:?}"),
+    }
+    match read_frame(stream, &Limits::default()) {
+        Err(WireError::Closed) | Err(WireError::Io(_)) => {}
+        other => panic!("expected close after the error, got {other:?}"),
+    }
+}
+
 /// The server must still answer a full register/submit round-trip.
 fn server_still_works(server: &Server) {
     let app = &kfuse_apps::paper_apps()[0];
@@ -68,9 +83,13 @@ fn malformed_frame_corpus() {
     bad_magic[0..4].copy_from_slice(b"HTTP");
     corpus.push(("bad magic", bad_magic));
 
-    let mut bad_version = good_ping.clone();
-    bad_version[4] = 0x7f;
-    corpus.push(("bad version", bad_version));
+    // 1–4 are the versions of earlier builds: their frames must be
+    // refused at the header, not misparsed.
+    for version in [0x7f, 1, 2, 3, 4] {
+        let mut bad_version = good_ping.clone();
+        bad_version[4] = version;
+        corpus.push(("bad version", bad_version));
+    }
 
     let mut bad_type = good_ping.clone();
     bad_type[5] = 0xee;
@@ -101,7 +120,11 @@ fn malformed_frame_corpus() {
         stream.write_all(&bytes).expect(name);
         // Truncated cases need EOF to be detected as truncation.
         stream.shutdown(std::net::Shutdown::Write).ok();
-        expect_error_or_close(&mut stream);
+        if name == "bad version" {
+            expect_typed_error_then_close(&mut stream);
+        } else {
+            expect_error_or_close(&mut stream);
+        }
         server_still_works(&server);
     }
 

@@ -75,6 +75,6 @@ pub use metrics::{
     FidelitySnapshot, LatencyExemplar, LatencyHistogram, MetricsRegistry, MetricsSnapshot,
     PipelineMetrics, PipelineSnapshot, RuntimeGauges,
 };
-pub use runtime::{Admission, JobHandle, Priority, Runtime, RuntimeConfig, RuntimeError};
+pub use runtime::{Admission, JobHandle, Priority, Request, Runtime, RuntimeConfig, RuntimeError};
 pub use session::{FrameHandle, SessionStats};
 pub use tune::{RetuneReport, TuneConfig};

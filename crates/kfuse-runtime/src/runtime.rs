@@ -39,7 +39,7 @@
 //! `Normal`/`Low`-priority work is refused once queue depth crosses its
 //! class's pressure threshold, reserving the remaining capacity for
 //! higher classes. Jobs may still carry a deadline that expires *in* the
-//! queue ([`Runtime::submit_with_deadline`]): those are answered with
+//! queue ([`Request::deadline`]): those are answered with
 //! [`RuntimeError::DeadlineExceeded`] at dequeue, before any planning or
 //! execution. [`Runtime::shutdown`] is graceful: it stops admission,
 //! lets the workers drain every queued job, and joins them — no accepted
@@ -109,6 +109,43 @@ impl Priority {
             Priority::High => "high",
             Priority::Normal => "normal",
             Priority::Low => "low",
+        }
+    }
+}
+
+/// One stateless request: everything [`Runtime::submit`] takes besides
+/// the tenant and the pipeline.
+#[derive(Debug)]
+pub struct Request {
+    /// Input images keyed by the pipeline's input ids.
+    pub inputs: Vec<(ImageId, Image)>,
+    /// How much fusion the planner applies.
+    pub schedule: Schedule,
+    /// Queueing class.
+    pub priority: Priority,
+    /// Latest useful completion instant. A job still queued when it
+    /// passes is answered with [`RuntimeError::DeadlineExceeded`]
+    /// without executing: its caller can no longer use the result, and
+    /// running it would only delay every job behind it. `None` means no
+    /// deadline.
+    pub deadline: Option<Instant>,
+    /// Propagated trace id; 0 means none (with a flight recorder
+    /// installed, a high-bit-tagged id is synthesized at dequeue).
+    pub trace_id: u64,
+    /// The caller's span id under `trace_id`.
+    pub span_id: u64,
+}
+
+impl Request {
+    /// A `Normal`-priority request with no deadline and no trace context.
+    pub fn new(inputs: Vec<(ImageId, Image)>, schedule: Schedule) -> Self {
+        Self {
+            inputs,
+            schedule,
+            priority: Priority::Normal,
+            deadline: None,
+            trace_id: 0,
+            span_id: 0,
         }
     }
 }
@@ -459,16 +496,8 @@ pub(crate) enum Payload {
 
 pub(crate) struct PipelineJob {
     pipeline: Pipeline,
-    inputs: Vec<(ImageId, Image)>,
-    schedule: Schedule,
+    request: Request,
     slot: Arc<Slot<Execution>>,
-    /// Latest useful completion instant; expired jobs are dropped at
-    /// dequeue without executing.
-    deadline: Option<Instant>,
-    /// Wire-propagated trace context (0 = none; a flight recorder then
-    /// synthesizes a high-bit-tagged id at dequeue).
-    trace_id: u64,
-    span_id: u64,
 }
 
 /// One tenant's FIFO lane within a priority class. `credit` is the
@@ -719,50 +748,10 @@ impl Runtime {
 
     /// Submits a job for `name` (the tenant/metrics key) and returns a
     /// handle to wait on. `pipeline` is the *unfused* pipeline; the
-    /// requested `schedule` decides how much fusion the planner applies.
-    pub fn submit(
-        &self,
-        name: &str,
-        pipeline: &Pipeline,
-        inputs: Vec<(ImageId, Image)>,
-        schedule: Schedule,
-    ) -> Result<JobHandle, RuntimeError> {
-        self.submit_with_deadline(name, pipeline, inputs, schedule, None)
-    }
-
-    /// Like [`Runtime::submit`], with a completion deadline. A job whose
-    /// deadline has passed when a worker dequeues it is answered with
-    /// [`RuntimeError::DeadlineExceeded`] **without executing** — the
-    /// caller (e.g. a network client that gave up) can no longer use the
-    /// result, so spending worker time on it would only grow the queue
-    /// wait of every job behind it. `None` means no deadline.
-    pub fn submit_with_deadline(
-        &self,
-        name: &str,
-        pipeline: &Pipeline,
-        inputs: Vec<(ImageId, Image)>,
-        schedule: Schedule,
-        deadline: Option<Instant>,
-    ) -> Result<JobHandle, RuntimeError> {
-        self.submit_with_ctx(
-            name,
-            pipeline,
-            inputs,
-            schedule,
-            Priority::Normal,
-            deadline,
-            0,
-            0,
-        )
-    }
-
-    /// Like [`Runtime::submit_with_deadline`], carrying a scheduling
-    /// [`Priority`] and a propagated trace context. `trace_id`/`span_id`
-    /// travel with the job so every serving span (and the flight-recorder
-    /// record) lands under the client's trace id — the server anchors the
-    /// wire-decoded context here. Zero means "no client trace": with a
-    /// recorder installed, a synthesized high-bit-tagged id is used
-    /// instead.
+    /// request's `schedule` decides how much fusion the planner applies.
+    /// The request's trace context travels with the job, so every serving
+    /// span (and the flight-recorder record) lands under the caller's
+    /// trace id.
     ///
     /// Admission sheds cheap-to-reject work before it costs anything:
     ///
@@ -774,24 +763,18 @@ impl Runtime {
     ///   immediate [`RuntimeError::QueueFull`] (counted as shed), even
     ///   under blocking admission — blocking is reserved for work the
     ///   runtime actually intends to take.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_with_ctx(
+    pub fn submit(
         &self,
         name: &str,
         pipeline: &Pipeline,
-        inputs: Vec<(ImageId, Image)>,
-        schedule: Schedule,
-        priority: Priority,
-        deadline: Option<Instant>,
-        trace_id: u64,
-        span_id: u64,
+        request: Request,
     ) -> Result<JobHandle, RuntimeError> {
         let metrics = self.metrics.handle(name);
         metrics.record_request();
         // Dead on arrival: the deadline expired before admission. The
         // whole point of early shedding — the reject costs one clock
         // read instead of queue capacity plus a dequeue-side drop.
-        if let Some(d) = deadline {
+        if let Some(d) = request.deadline {
             if Instant::now() >= d {
                 metrics.record_deadline_miss();
                 return Err(RuntimeError::DeadlineExceeded);
@@ -799,6 +782,7 @@ impl Runtime {
         }
         let shared = self.shard_for(pipeline.fingerprint());
         let slot = Arc::new(Slot::default());
+        let priority = request.priority;
         let job = Job {
             tenant: name.to_string(),
             priority,
@@ -806,12 +790,8 @@ impl Runtime {
             submitted: Instant::now(),
             payload: Payload::Pipeline(PipelineJob {
                 pipeline: pipeline.clone(),
-                inputs,
-                schedule,
+                request,
                 slot: Arc::clone(&slot),
-                deadline,
-                trace_id,
-                span_id,
             }),
         };
         let cfg = &shared.cfg;
@@ -898,7 +878,8 @@ impl Runtime {
         inputs: Vec<(ImageId, Image)>,
         schedule: Schedule,
     ) -> Result<Execution, RuntimeError> {
-        self.submit(name, pipeline, inputs, schedule)?.wait()
+        self.submit(name, pipeline, Request::new(inputs, schedule))?
+            .wait()
     }
 
     /// A point-in-time snapshot of every tenant's metrics plus the
@@ -1154,21 +1135,24 @@ fn worker_loop(shared: &Shared) {
         // Request-scoped recording: the flight recorder hands out a
         // private tracer (uncontended; mirrored into the global tracer at
         // finish) under the job's propagated — or synthesized — trace id.
-        let mut request = shared
-            .cfg
-            .recorder
-            .as_ref()
-            .map(|r| r.begin(pj.trace_id, pj.span_id, &job.tenant, &shared.cfg.tracer));
+        let mut request = shared.cfg.recorder.as_ref().map(|r| {
+            r.begin(
+                pj.request.trace_id,
+                pj.request.span_id,
+                &job.tenant,
+                &shared.cfg.tracer,
+            )
+        });
         let span_tracer = match &request {
             Some(active) => active.tracer().clone(),
-            None if pj.trace_id != 0 => shared.cfg.tracer.scoped(pj.trace_id),
+            None if pj.request.trace_id != 0 => shared.cfg.tracer.scoped(pj.request.trace_id),
             None => shared.cfg.tracer.clone(),
         };
         // Deadline check at dequeue, before any planning or execution: a
         // job that expired in the queue is answered immediately and costs
         // no worker time (the network layer translates this into a typed
         // wire error the client sees instead of a late result).
-        if let Some(deadline) = pj.deadline {
+        if let Some(deadline) = pj.request.deadline {
             if Instant::now() >= deadline {
                 job.metrics.record_deadline_miss();
                 let us = u64::try_from(job.submitted.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1187,7 +1171,7 @@ fn worker_loop(shared: &Shared) {
                 let trace_id = request
                     .as_ref()
                     .map(ActiveRequest::trace_id)
-                    .unwrap_or(pj.trace_id);
+                    .unwrap_or(pj.request.trace_id);
                 job.metrics.record_latency_traced(us, trace_id);
                 if let (Some(r), Some(active)) = (shared.cfg.recorder.as_ref(), request.take()) {
                     r.finish(active, RequestOutcome::DeadlineMissed);
@@ -1230,7 +1214,7 @@ fn worker_loop(shared: &Shared) {
         let trace_id = request
             .as_ref()
             .map(ActiveRequest::trace_id)
-            .unwrap_or(pj.trace_id);
+            .unwrap_or(pj.request.trace_id);
         job.metrics.record_latency_traced(us, trace_id);
         if let (Some(r), Some(active)) = (shared.cfg.recorder.as_ref(), request.take()) {
             let outcome = match &result {
@@ -1248,7 +1232,9 @@ fn worker_loop(shared: &Shared) {
 /// budget the runtime burned, and whether the SLO was met. Jobs without a
 /// deadline carry no SLO and record nothing.
 fn record_slo(pj: &PipelineJob, job: &Job, spent_us: u64) {
-    let Some(deadline) = pj.deadline else { return };
+    let Some(deadline) = pj.request.deadline else {
+        return;
+    };
     let budget_us = deadline
         .checked_duration_since(job.submitted)
         .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
@@ -1271,13 +1257,67 @@ fn fail_point_after_dequeue(tenant: &str) {
     );
 }
 
+impl Shared {
+    /// The plan for `pipeline` (structural fingerprint `fingerprint`)
+    /// under `schedule` and `exec`: served from this shard's plan cache,
+    /// or validated, planned, lowered, priced and inserted on a miss. The
+    /// hit or miss is counted on `metrics` and returned alongside.
+    pub(crate) fn plan(
+        &self,
+        pipeline: &Pipeline,
+        fingerprint: u64,
+        schedule: Schedule,
+        exec: FastConfig,
+        metrics: &PipelineMetrics,
+    ) -> Result<(CachedPlan, bool), RuntimeError> {
+        let key = PlanKey {
+            fingerprint,
+            schedule,
+            exec,
+        };
+        let layout = pipeline.binding_fingerprint();
+        if let Some(entry) = self.cache.lock().unwrap().lookup(&key, layout) {
+            metrics.record_cache_hit();
+            return Ok((entry, true));
+        }
+        metrics.record_cache_miss();
+        // Validate before handing the pipeline to the fusion planner;
+        // planning assumes a well-formed DAG.
+        pipeline
+            .validate()
+            .map_err(|e| ExecError::Invalid(e.to_string()))?;
+        let policy = Arc::clone(&*self.policy.lock().unwrap());
+        let fused = kfuse_dsl::compile(pipeline, schedule, policy.fusion_config());
+        // The overlapped schedule changes the executor's halo discipline,
+        // not just the fusion pricing: stage planes keep their full halo
+        // rect and apron cells are border-resolved once instead of
+        // index-exchanged per load.
+        let tiling = if schedule == Schedule::Overlapped {
+            kfuse_sim::Tiling::Overlapped
+        } else {
+            kfuse_sim::Tiling::Exchange
+        };
+        let plan = Arc::new(CompiledPlan::compile_with(&fused, tiling)?);
+        // Price the fused plan once at compile time; every execution
+        // divides its observed time by this for the fidelity ratio.
+        let modeled_us = modeled_execute_us(plan.pipeline(), policy.fusion_config());
+        let entry = CachedPlan {
+            layout,
+            plan,
+            modeled_us,
+        };
+        self.cache.lock().unwrap().insert(key, entry.clone());
+        Ok((entry, false))
+    }
+}
+
 /// Modeled wall time (µs) of one execution of `p` under the policy's cost
 /// model: per-launch thread costs priced with the model's constants plus
 /// launch overhead, converted through the modeled core clock. The absolute
 /// scale is the model GPU's, not this host's — what the metrics track is
 /// the per-fingerprint observed/modeled *ratio*, whose drift flags
 /// pipelines where the planner's cost model stopped tracking reality.
-pub(crate) fn modeled_execute_us(p: &Pipeline, cfg: &FusionConfig) -> f64 {
+fn modeled_execute_us(p: &Pipeline, cfg: &FusionConfig) -> f64 {
     let model = &cfg.model;
     let c = model.constants();
     let mut cycles = 0.0;
@@ -1320,11 +1360,11 @@ fn run_job(
     // overrides the schedule and execution shape — but only for jobs that
     // asked for `Optimized`. A tenant explicitly requesting
     // `Baseline`/`Basic` gets exactly what it asked for.
-    let mut schedule = pj.schedule;
+    let mut schedule = pj.request.schedule;
     let mut exec = shared.cfg.exec;
     let mut tuned = false;
     if let Some(t) = &shared.tuner {
-        if pj.schedule == Schedule::Optimized {
+        if pj.request.schedule == Schedule::Optimized {
             let tune_key = TuneKey {
                 fingerprint,
                 size_class: size_class_of(output_pixels(&pj.pipeline)),
@@ -1336,57 +1376,14 @@ fn run_job(
             }
         }
     }
-    let key = PlanKey {
-        fingerprint,
-        schedule,
-        exec,
-    };
-    let layout = pj.pipeline.binding_fingerprint();
-    let cached = shared.cache.lock().unwrap().lookup(&key, layout);
-    let hit = cached.is_some();
-    let (plan, modeled_us) = match cached {
-        Some(entry) => {
-            job.metrics.record_cache_hit();
-            (entry.plan, entry.modeled_us)
+    let (cached, hit) = shared.plan(&pj.pipeline, fingerprint, schedule, exec, &job.metrics)?;
+    if !hit {
+        if let Some(t) = &shared.tuner {
+            // Keep a sample of the submitted pipeline so the retuner can
+            // probe this fingerprint off the request path.
+            t.record_sample(&pj.pipeline);
         }
-        None => {
-            job.metrics.record_cache_miss();
-            if let Some(t) = &shared.tuner {
-                // Keep a sample of the submitted pipeline so the retuner
-                // can probe this fingerprint off the request path.
-                t.record_sample(&pj.pipeline);
-            }
-            // Validate before handing the pipeline to the fusion planner;
-            // planning assumes a well-formed DAG.
-            pj.pipeline
-                .validate()
-                .map_err(|e| ExecError::Invalid(e.to_string()))?;
-            let policy = Arc::clone(&*shared.policy.lock().unwrap());
-            let fused = kfuse_dsl::compile(&pj.pipeline, schedule, policy.fusion_config());
-            // The overlapped schedule changes the executor's halo
-            // discipline, not just the fusion pricing: stage planes keep
-            // their full halo rect and apron cells are border-resolved
-            // once instead of index-exchanged per load.
-            let tiling = if schedule == Schedule::Overlapped {
-                kfuse_sim::Tiling::Overlapped
-            } else {
-                kfuse_sim::Tiling::Exchange
-            };
-            let plan = Arc::new(CompiledPlan::compile_with(&fused, tiling)?);
-            // Price the fused plan once at compile time; every execution
-            // divides its observed time by this for the fidelity ratio.
-            let modeled_us = modeled_execute_us(plan.pipeline(), policy.fusion_config());
-            shared.cache.lock().unwrap().insert(
-                key,
-                CachedPlan {
-                    layout,
-                    plan: Arc::clone(&plan),
-                    modeled_us,
-                },
-            );
-            (plan, modeled_us)
-        }
-    };
+    }
     if tracer.is_enabled() {
         tracer.complete(
             "plan",
@@ -1408,14 +1405,15 @@ fn run_job(
     }
     let exec_start = tracer.now_us();
     let exec_t0 = Instant::now();
-    let result = plan
-        .execute_traced(&pj.inputs, &exec, scratch, tracer)
+    let result = cached
+        .plan
+        .execute_traced(&pj.request.inputs, &exec, scratch, tracer)
         .map_err(RuntimeError::Exec);
     if result.is_ok() {
         let observed_us = u64::try_from(exec_t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         shared
             .metrics
-            .record_fidelity(fingerprint, observed_us, modeled_us);
+            .record_fidelity(fingerprint, observed_us, cached.modeled_us);
     }
     if tracer.is_enabled() {
         tracer.complete(
@@ -1450,6 +1448,11 @@ mod tests {
         ));
         p.mark_output(out);
         (p, input, out)
+    }
+
+    /// A request binding `img` to the pipeline's single `input`.
+    fn req(input: ImageId, img: &Image, schedule: Schedule) -> Request {
+        Request::new(vec![(input, img.clone())], schedule)
     }
 
     fn small_cfg() -> RuntimeConfig {
@@ -1567,11 +1570,11 @@ mod tests {
         let (p, input, _) = blur_pipeline(5, 5);
         let img = synthetic_image(p.image(input).clone(), 1);
         for _ in 0..2 {
-            rt.submit("t", &p, vec![(input, img.clone())], Schedule::Baseline)
+            rt.submit("t", &p, req(input, &img, Schedule::Baseline))
                 .unwrap();
         }
         let err = rt
-            .submit("t", &p, vec![(input, img)], Schedule::Baseline)
+            .submit("t", &p, req(input, &img, Schedule::Baseline))
             .unwrap_err();
         assert!(matches!(err, RuntimeError::QueueFull));
         let snap = rt.metrics();
@@ -1597,12 +1600,13 @@ mod tests {
         // submit call even takes the queue lock.
         let past = Instant::now() - Duration::from_millis(10);
         let err = rt
-            .submit_with_deadline(
+            .submit(
                 "late",
                 &p,
-                vec![(input, img.clone())],
-                Schedule::Optimized,
-                Some(past),
+                Request {
+                    deadline: Some(past),
+                    ..req(input, &img, Schedule::Optimized)
+                },
             )
             .unwrap_err();
         assert!(matches!(err, RuntimeError::DeadlineExceeded));
@@ -1610,12 +1614,13 @@ mod tests {
         assert_eq!(rt.metrics().runtime.queue_depth, 0);
         // A generous deadline is admitted normally.
         let future = Instant::now() + Duration::from_secs(60);
-        rt.submit_with_deadline(
+        rt.submit(
             "late",
             &p,
-            vec![(input, img)],
-            Schedule::Optimized,
-            Some(future),
+            Request {
+                deadline: Some(future),
+                ..req(input, &img, Schedule::Optimized)
+            },
         )
         .unwrap();
         let snap = rt.metrics();
@@ -1643,12 +1648,19 @@ mod tests {
         let rt = Runtime::without_workers(cfg);
         let (p, input, _) = blur_pipeline(5, 5);
         let img = synthetic_image(p.image(input).clone(), 1);
-        rt.submit("t", &p, vec![(input, img.clone())], Schedule::Baseline)
+        rt.submit("t", &p, req(input, &img, Schedule::Baseline))
             .unwrap();
         let past = Instant::now() - Duration::from_millis(1);
         let start = Instant::now();
         let err = rt
-            .submit_with_deadline("t", &p, vec![(input, img)], Schedule::Baseline, Some(past))
+            .submit(
+                "t",
+                &p,
+                Request {
+                    deadline: Some(past),
+                    ..req(input, &img, Schedule::Baseline)
+                },
+            )
             .unwrap_err();
         assert!(matches!(err, RuntimeError::DeadlineExceeded));
         // Immediate: with the seed behavior this blocked indefinitely.
@@ -1669,12 +1681,13 @@ mod tests {
         // Valid at admission, expired by the time anything dequeues it.
         let soon = Instant::now() + Duration::from_millis(20);
         let handle = rt
-            .submit_with_deadline(
+            .submit(
                 "late",
                 &p,
-                vec![(input, img)],
-                Schedule::Optimized,
-                Some(soon),
+                Request {
+                    deadline: Some(soon),
+                    ..req(input, &img, Schedule::Optimized)
+                },
             )
             .unwrap();
         std::thread::sleep(Duration::from_millis(40));
@@ -1704,12 +1717,12 @@ mod tests {
         let (p, input, _) = blur_pipeline(5, 5);
         let img = synthetic_image(p.image(input).clone(), 1);
         for _ in 0..2 {
-            rt.submit("t", &p, vec![(input, img.clone())], Schedule::Baseline)
+            rt.submit("t", &p, req(input, &img, Schedule::Baseline))
                 .unwrap();
         }
         let start = Instant::now();
         let err = rt
-            .submit("t", &p, vec![(input, img)], Schedule::Baseline)
+            .submit("t", &p, req(input, &img, Schedule::Baseline))
             .unwrap_err();
         assert!(matches!(err, RuntimeError::AdmissionTimeout));
         assert!(start.elapsed() >= Duration::from_millis(50));
@@ -1737,7 +1750,7 @@ mod tests {
         let (p, input, _) = blur_pipeline(5, 5);
         let img = synthetic_image(p.image(input).clone(), 1);
         for _ in 0..3 {
-            rt.submit("t", &p, vec![(input, img.clone())], Schedule::Baseline)
+            rt.submit("t", &p, req(input, &img, Schedule::Baseline))
                 .unwrap();
         }
         let snap = rt.metrics();
@@ -1749,7 +1762,7 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig { workers: 1, ..cfg });
         let handles: Vec<JobHandle> = (0..4)
             .map(|_| {
-                rt.submit("t", &p, vec![(input, img.clone())], Schedule::Baseline)
+                rt.submit("t", &p, req(input, &img, Schedule::Baseline))
                     .unwrap()
             })
             .collect();
@@ -1772,7 +1785,7 @@ mod tests {
         let reference = kfuse_sim::execute_reference(&p, &[(input, img.clone())]).unwrap();
         let handles: Vec<JobHandle> = (0..6)
             .map(|_| {
-                rt.submit("t", &p, vec![(input, img.clone())], Schedule::Optimized)
+                rt.submit("t", &p, req(input, &img, Schedule::Optimized))
                     .unwrap()
             })
             .collect();
@@ -1785,7 +1798,7 @@ mod tests {
         }
         // Submissions after shutdown are refused.
         let err = rt
-            .submit("t", &p, vec![(input, img)], Schedule::Optimized)
+            .submit("t", &p, req(input, &img, Schedule::Optimized))
             .unwrap_err();
         assert!(matches!(err, RuntimeError::ShuttingDown));
     }
@@ -1849,15 +1862,14 @@ mod tests {
             ..small_cfg()
         });
         let img = synthetic_image(p.image(input).clone(), 3);
-        rt.submit_with_ctx(
+        rt.submit(
             "t",
             &p,
-            vec![(input, img)],
-            Schedule::Optimized,
-            Priority::Normal,
-            None,
-            0x77,
-            0x9,
+            Request {
+                trace_id: 0x77,
+                span_id: 0x9,
+                ..req(input, &img, Schedule::Optimized)
+            },
         )
         .unwrap()
         .wait()
@@ -1902,15 +1914,15 @@ mod tests {
         // deadline deterministically expires while queued.
         let soon = Instant::now() + Duration::from_millis(20);
         let handle = rt
-            .submit_with_ctx(
+            .submit(
                 "late",
                 &p,
-                vec![(input, img)],
-                Schedule::Optimized,
-                Priority::Normal,
-                Some(soon),
-                0xdead,
-                1,
+                Request {
+                    deadline: Some(soon),
+                    trace_id: 0xdead,
+                    span_id: 1,
+                    ..req(input, &img, Schedule::Optimized)
+                },
             )
             .unwrap();
         std::thread::sleep(Duration::from_millis(40));
@@ -2161,13 +2173,13 @@ mod tests {
         let (order, probe) = order_probe();
         for i in 0..12 {
             let h = rt
-                .submit("flood", &p, vec![(input, img.clone())], Schedule::Baseline)
+                .submit("flood", &p, req(input, &img, Schedule::Baseline))
                 .unwrap();
             probe(&h, &format!("flood{i}"));
         }
         for i in 0..3 {
             let h = rt
-                .submit("light", &p, vec![(input, img.clone())], Schedule::Baseline)
+                .submit("light", &p, req(input, &img, Schedule::Baseline))
                 .unwrap();
             probe(&h, &format!("light{i}"));
         }
@@ -2200,15 +2212,13 @@ mod tests {
         let (order, probe) = order_probe();
         let submit = |prio: Priority, label: &str| {
             let h = rt
-                .submit_with_ctx(
+                .submit(
                     "t",
                     &p,
-                    vec![(input, img.clone())],
-                    Schedule::Baseline,
-                    prio,
-                    None,
-                    0,
-                    0,
+                    Request {
+                        priority: prio,
+                        ..req(input, &img, Schedule::Baseline)
+                    },
                 )
                 .unwrap();
             probe(&h, label);
@@ -2241,13 +2251,13 @@ mod tests {
         let (order, probe) = order_probe();
         for i in 0..4 {
             let h = rt
-                .submit("paying", &p, vec![(input, img.clone())], Schedule::Baseline)
+                .submit("paying", &p, req(input, &img, Schedule::Baseline))
                 .unwrap();
             probe(&h, &format!("p{i}"));
         }
         for i in 0..4 {
             let h = rt
-                .submit("free", &p, vec![(input, img.clone())], Schedule::Baseline)
+                .submit("free", &p, req(input, &img, Schedule::Baseline))
                 .unwrap();
             probe(&h, &format!("f{i}"));
         }
@@ -2272,17 +2282,17 @@ mod tests {
         });
         let img = synthetic_image(p.image(input).clone(), 1);
         for _ in 0..4 {
-            rt.submit("flood", &p, vec![(input, img.clone())], Schedule::Baseline)
+            rt.submit("flood", &p, req(input, &img, Schedule::Baseline))
                 .unwrap();
         }
         for _ in 0..3 {
             let err = rt
-                .submit("flood", &p, vec![(input, img.clone())], Schedule::Baseline)
+                .submit("flood", &p, req(input, &img, Schedule::Baseline))
                 .unwrap_err();
             assert!(matches!(err, RuntimeError::QueueFull));
         }
         // Another tenant still has the whole remaining queue.
-        rt.submit("light", &p, vec![(input, img)], Schedule::Baseline)
+        rt.submit("light", &p, req(input, &img, Schedule::Baseline))
             .unwrap();
         let snap = rt.metrics();
         let flood = snap.pipeline("flood").unwrap();
@@ -2308,15 +2318,13 @@ mod tests {
         });
         let img = synthetic_image(p.image(input).clone(), 1);
         let submit = |prio: Priority| {
-            rt.submit_with_ctx(
+            rt.submit(
                 "t",
                 &p,
-                vec![(input, img.clone())],
-                Schedule::Baseline,
-                prio,
-                None,
-                0,
-                0,
+                Request {
+                    priority: prio,
+                    ..req(input, &img, Schedule::Baseline)
+                },
             )
         };
         // Depth 0, 1: everyone is admitted.
@@ -2412,7 +2420,7 @@ mod tests {
             assert_eq!(fired.load(Ordering::SeqCst), want);
         };
         let h = rt
-            .submit("t", &p, vec![(input, img.clone())], Schedule::Optimized)
+            .submit("t", &p, req(input, &img, Schedule::Optimized))
             .unwrap();
         let f = Arc::clone(&fired);
         h.on_ready(move || {
@@ -2422,7 +2430,7 @@ mod tests {
         settle(1);
         // A watcher registered after completion fires synchronously.
         let h = rt
-            .submit("t", &p, vec![(input, img)], Schedule::Optimized)
+            .submit("t", &p, req(input, &img, Schedule::Optimized))
             .unwrap();
         std::thread::sleep(Duration::from_millis(50));
         let f = Arc::clone(&fired);

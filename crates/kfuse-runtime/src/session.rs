@@ -33,15 +33,11 @@
 //! never `session` (the rings), so admission stays fast while a frame
 //! executes.
 
-use crate::cache::{CachedPlan, PlanKey};
 use crate::metrics::PipelineMetrics;
-use crate::runtime::{
-    enqueue_session_runner, modeled_execute_us, Priority, Runtime, RuntimeError, Shared, Slot,
-};
+use crate::runtime::{enqueue_session_runner, Priority, Runtime, RuntimeError, Shared, Slot};
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId};
 use kfuse_obs::{ActiveRequest, ArgValue, RequestOutcome};
-use kfuse_sim::{CompiledPlan, Tiling};
 use kfuse_stream::{FrameOutput, StreamPipeline, StreamSession};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -187,28 +183,18 @@ impl FrameHandle {
 }
 
 impl Runtime {
-    /// Opens a streaming session for `tenant` over `stream` at
-    /// [`Priority::Normal`], returning its id.
-    pub fn open_session(
-        &self,
-        tenant: &str,
-        stream: &StreamPipeline,
-        schedule: Schedule,
-    ) -> Result<u64, RuntimeError> {
-        self.open_session_with(tenant, stream, schedule, Priority::Normal)
-    }
-
-    /// Opens a streaming session with an explicit [`Priority`] for its
-    /// frame runner.
+    /// Opens a streaming session for `tenant` over `stream`, returning
+    /// its id. `priority` is the queueing class of its frame runner.
     ///
     /// The per-frame plan is obtained through the owning shard's plan
     /// cache under the same `(fingerprint, schedule, exec)` key the
     /// stateless path uses, so a session and ordinary submissions of the
-    /// same pipeline share one compiled plan. (Tuned overrides are *not*
+    /// same pipeline share one compiled plan, and the open counts as a
+    /// cache hit or miss for `tenant`. (Tuned overrides are *not*
     /// consulted: a session pins its plan for its lifetime, and retuning
     /// mid-stream would silently change the halo discipline under live
     /// state.)
-    pub fn open_session_with(
+    pub fn open_session(
         &self,
         tenant: &str,
         stream: &StreamPipeline,
@@ -218,42 +204,16 @@ impl Runtime {
         let fingerprint = stream.fingerprint();
         let shared = self.shard_for(fingerprint);
         let frame = stream.frame();
-        let key = PlanKey {
-            fingerprint: frame.fingerprint(),
-            schedule,
-            exec: shared.cfg.exec,
-        };
-        let layout = frame.binding_fingerprint();
-        let cached = shared.cache.lock().unwrap().lookup(&key, layout);
-        let plan = match cached {
-            Some(entry) => entry.plan,
-            None => {
-                frame
-                    .validate()
-                    .map_err(|e| RuntimeError::Stream(e.to_string()))?;
-                let policy = Arc::clone(&*shared.policy.lock().unwrap());
-                let fused = kfuse_dsl::compile(frame, schedule, policy.fusion_config());
-                let tiling = if schedule == Schedule::Overlapped {
-                    Tiling::Overlapped
-                } else {
-                    Tiling::Exchange
-                };
-                let plan = Arc::new(CompiledPlan::compile_with(&fused, tiling)?);
-                let modeled_us = modeled_execute_us(plan.pipeline(), policy.fusion_config());
-                shared.cache.lock().unwrap().insert(
-                    key,
-                    CachedPlan {
-                        layout,
-                        plan: Arc::clone(&plan),
-                        modeled_us,
-                    },
-                );
-                plan
-            }
-        };
-        let session = StreamSession::with_plan(stream.clone(), plan, shared.cfg.exec)
-            .map_err(|e| RuntimeError::Stream(e.to_string()))?;
         let metrics = self.registry().handle(tenant);
+        let (cached, _) = shared.plan(
+            frame,
+            frame.fingerprint(),
+            schedule,
+            shared.cfg.exec,
+            &metrics,
+        )?;
+        let session = StreamSession::with_plan(stream.clone(), cached.plan, shared.cfg.exec)
+            .map_err(|e| RuntimeError::Stream(e.to_string()))?;
         let id = self.sessions.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = Arc::new(SessionEntry {
             id,
@@ -280,19 +240,10 @@ impl Runtime {
     /// Submits the next frame of session `id`. `fresh` binds exactly the
     /// stream's fresh inputs; state taps are bound by the session from
     /// its rings. Frames of one session complete strictly in submission
-    /// order.
+    /// order. `trace_id`/`span_id` are the propagated trace context (zero
+    /// = none), under which the frame's serving spans and flight-recorder
+    /// record land.
     pub fn submit_frame(
-        &self,
-        id: u64,
-        fresh: Vec<(ImageId, Image)>,
-    ) -> Result<FrameHandle, RuntimeError> {
-        self.submit_frame_with_ctx(id, fresh, 0, 0)
-    }
-
-    /// [`Runtime::submit_frame`] with a propagated trace context, so each
-    /// frame's serving spans and flight-recorder record land under the
-    /// client's trace id (zero = none).
-    pub fn submit_frame_with_ctx(
         &self,
         id: u64,
         fresh: Vec<(ImageId, Image)>,
@@ -622,12 +573,12 @@ mod tests {
         let seq = frames(&stream, 8);
         let want = run_reference(&stream, &seq).unwrap();
         let id = rt
-            .open_session("vid", &stream, Schedule::Optimized)
+            .open_session("vid", &stream, Schedule::Optimized, Priority::Normal)
             .unwrap();
         assert_eq!(rt.session_count(), 1);
         let handles: Vec<FrameHandle> = seq
             .iter()
-            .map(|fresh| rt.submit_frame(id, fresh.clone()).unwrap())
+            .map(|fresh| rt.submit_frame(id, fresh.clone(), 0, 0).unwrap())
             .collect();
         for (f, h) in handles.into_iter().enumerate() {
             let out = h.wait().unwrap();
@@ -646,16 +597,26 @@ mod tests {
     }
 
     /// A session's plan comes from (and lands in) the owning shard's
-    /// plan cache, shared with the stateless submit path.
+    /// plan cache, shared with the stateless submit path, and each open
+    /// counts its lookup for the tenant.
     #[test]
     fn sessions_share_the_plan_cache() {
         let rt = Runtime::new(RuntimeConfig::default());
         let stream = denoise(16, 12);
-        rt.open_session("a", &stream, Schedule::Optimized).unwrap();
+        let lookups = |tenant: &str| {
+            let snap = rt.metrics();
+            let m = snap.pipeline(tenant).expect("tenant has metrics");
+            (m.cache_misses, m.cache_hits)
+        };
+        rt.open_session("a", &stream, Schedule::Optimized, Priority::Normal)
+            .unwrap();
         assert_eq!(rt.cached_plans(), 1);
+        assert_eq!(lookups("a"), (1, 0), "the first open plans");
         // A second session over the same stream reuses the cached plan.
-        rt.open_session("b", &stream, Schedule::Optimized).unwrap();
+        rt.open_session("b", &stream, Schedule::Optimized, Priority::Normal)
+            .unwrap();
         assert_eq!(rt.cached_plans(), 1);
+        assert_eq!(lookups("b"), (0, 1), "the second open hits");
         rt.shutdown();
     }
 
@@ -667,15 +628,15 @@ mod tests {
         let stream = denoise(17, 11);
         let seq = frames(&stream, 4);
         let id = rt
-            .open_session("vid", &stream, Schedule::Optimized)
+            .open_session("vid", &stream, Schedule::Optimized, Priority::Normal)
             .unwrap();
         let handles: Vec<FrameHandle> = seq
             .iter()
             .take(3)
-            .map(|fresh| rt.submit_frame(id, fresh.clone()).unwrap())
+            .map(|fresh| rt.submit_frame(id, fresh.clone(), 0, 0).unwrap())
             .collect();
         rt.drain_session(id).unwrap();
-        match rt.submit_frame(id, seq[3].clone()) {
+        match rt.submit_frame(id, seq[3].clone(), 0, 0) {
             Err(RuntimeError::SessionDraining) => {}
             other => panic!("expected SessionDraining, got {other:?}"),
         }
@@ -704,11 +665,11 @@ mod tests {
         let stream = denoise(33, 29);
         let seq = frames(&stream, 16);
         let id = rt
-            .open_session("vid", &stream, Schedule::Optimized)
+            .open_session("vid", &stream, Schedule::Optimized, Priority::Normal)
             .unwrap();
         let handles: Vec<FrameHandle> = seq
             .iter()
-            .map(|fresh| rt.submit_frame(id, fresh.clone()).unwrap())
+            .map(|fresh| rt.submit_frame(id, fresh.clone(), 0, 0).unwrap())
             .collect();
         let stats = rt.close_session(id).unwrap();
         let mut completed = 0;
@@ -722,7 +683,7 @@ mod tests {
         }
         assert_eq!(completed + closed, 16, "every accepted frame is answered");
         assert_eq!(stats.frames_submitted, 16);
-        match rt.submit_frame(id, seq[0].clone()) {
+        match rt.submit_frame(id, seq[0].clone(), 0, 0) {
             Err(RuntimeError::UnknownSession(got)) => assert_eq!(got, id),
             other => panic!("expected UnknownSession, got {other:?}"),
         }
@@ -742,11 +703,11 @@ mod tests {
         let seq = frames(&stream, 3);
         let want = run_reference(&stream, &seq).unwrap();
         let id = rt
-            .open_session("vid", &stream, Schedule::Optimized)
+            .open_session("vid", &stream, Schedule::Optimized, Priority::Normal)
             .unwrap();
-        let good0 = rt.submit_frame(id, seq[0].clone()).unwrap();
-        let bad = rt.submit_frame(id, Vec::new()).unwrap();
-        let good1 = rt.submit_frame(id, seq[1].clone()).unwrap();
+        let good0 = rt.submit_frame(id, seq[0].clone(), 0, 0).unwrap();
+        let bad = rt.submit_frame(id, Vec::new(), 0, 0).unwrap();
+        let good1 = rt.submit_frame(id, seq[1].clone(), 0, 0).unwrap();
         assert!(good0.wait().unwrap().outputs[0].1.bit_equal(&want[0][0].1));
         match bad.wait() {
             Err(RuntimeError::Stream(_)) => {}
@@ -765,7 +726,7 @@ mod tests {
     #[test]
     fn unknown_session_is_typed() {
         let rt = Runtime::new(RuntimeConfig::default());
-        match rt.submit_frame(999, Vec::new()) {
+        match rt.submit_frame(999, Vec::new(), 0, 0) {
             Err(RuntimeError::UnknownSession(999)) => {}
             other => panic!("expected UnknownSession(999), got {other:?}"),
         }

@@ -18,7 +18,7 @@ use std::time::Duration;
 use kfuse_apps::paper_apps;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
-use kfuse_net::{Client, ClientError, ErrorCode, Server, ServerConfig};
+use kfuse_net::{Client, ClientError, ErrorCode, Priority, Server, ServerConfig};
 use kfuse_runtime::{Admission, RuntimeConfig};
 use kfuse_sim::{execute_reference, synthetic_image};
 
@@ -130,7 +130,13 @@ fn expired_deadline_is_rejected_over_the_wire_without_executing() {
 
     // Pipeline: occupy the worker, then the doomed request behind it.
     let busy_id = client
-        .submit("busy", inputs_for(&big, 1), Schedule::Optimized, None)
+        .submit(
+            "busy",
+            inputs_for(&big, 1),
+            Schedule::Optimized,
+            None,
+            Priority::Normal,
+        )
         .expect("submit busy");
     let tight_id = client
         .submit(
@@ -138,6 +144,7 @@ fn expired_deadline_is_rejected_over_the_wire_without_executing() {
             inputs_for(&small, 2),
             Schedule::Optimized,
             Some(Duration::from_micros(1)),
+            Priority::Normal,
         )
         .expect("submit tight");
 
@@ -200,7 +207,13 @@ fn drain_finishes_in_flight_and_refuses_new_work() {
     // racing ahead of the submit on a second connection would otherwise
     // legitimately refuse it.
     let in_flight = client
-        .submit("work", inputs.clone(), Schedule::Optimized, None)
+        .submit(
+            "work",
+            inputs.clone(),
+            Schedule::Optimized,
+            None,
+            Priority::Normal,
+        )
         .expect("submit");
     let admitted = |s: &kfuse_net::Server| {
         s.runtime_metrics()
@@ -263,7 +276,13 @@ fn pipelined_submissions_all_answered() {
     let ids: Vec<u64> = (0..12)
         .map(|_| {
             client
-                .submit("pipe", inputs.clone(), Schedule::Optimized, None)
+                .submit(
+                    "pipe",
+                    inputs.clone(),
+                    Schedule::Optimized,
+                    None,
+                    Priority::Normal,
+                )
                 .expect("submit")
         })
         .collect();
@@ -277,13 +296,11 @@ fn pipelined_submissions_all_answered() {
     server.shutdown();
 }
 
-/// Version-3 QoS submits work end to end: every priority class is served
+/// Prioritized submits work end to end: every priority class is served
 /// bit-identically to the reference interpreter, and the per-tenant
 /// metrics account for all of them.
 #[test]
 fn qos_submissions_serve_bit_identically_across_priorities() {
-    use kfuse_net::Priority;
-
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let app = &paper_apps()[3];
     let p = (app.build_sized)(24, 24);
@@ -297,8 +314,8 @@ fn qos_submissions_serve_bit_identically_across_priorities() {
         .flat_map(|&prio| (0..2).map(move |_| prio).collect::<Vec<_>>())
         .map(|prio| {
             let id = client
-                .submit_qos("qos", inputs.clone(), Schedule::Optimized, None, prio)
-                .expect("submit_qos");
+                .submit("qos", inputs.clone(), Schedule::Optimized, None, prio)
+                .expect("submit");
             (id, prio)
         })
         .collect();
@@ -339,7 +356,13 @@ fn traced_request_appears_in_flight_recorder_dump() {
     client.set_tracer(kfuse_obs::Tracer::enabled());
     client.register("traced", &p).expect("register");
     let id = client
-        .submit("traced", inputs.clone(), Schedule::Optimized, None)
+        .submit(
+            "traced",
+            inputs.clone(),
+            Schedule::Optimized,
+            None,
+            Priority::Normal,
+        )
         .expect("submit");
     let trace = client.last_trace().expect("tracer generates a context");
     let (rid, outputs) = client.recv_result().expect("result");
@@ -388,7 +411,7 @@ fn traced_request_appears_in_flight_recorder_dump() {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming sessions over the wire (protocol rev 4).
+// Streaming sessions over the wire.
 // ---------------------------------------------------------------------------
 
 use kfuse_apps::temporal_apps;

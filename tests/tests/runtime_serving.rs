@@ -12,7 +12,7 @@
 use kfuse_apps::paper_apps;
 use kfuse_dsl::Schedule;
 use kfuse_ir::{Image, ImageId, Pipeline};
-use kfuse_runtime::{Admission, Runtime, RuntimeConfig};
+use kfuse_runtime::{Admission, Request, Runtime, RuntimeConfig};
 use kfuse_sim::{execute_reference, synthetic_image, Execution};
 
 fn inputs_for(p: &Pipeline, seed: u64) -> Vec<(ImageId, Image)> {
@@ -146,8 +146,12 @@ fn shutdown_drains_admitted_jobs() {
     });
     let handles: Vec<_> = (0..8)
         .map(|_| {
-            rt.submit(app.name, &p, inputs.clone(), Schedule::Optimized)
-                .expect("admitted")
+            rt.submit(
+                app.name,
+                &p,
+                Request::new(inputs.clone(), Schedule::Optimized),
+            )
+            .expect("admitted")
         })
         .collect();
     rt.shutdown();
