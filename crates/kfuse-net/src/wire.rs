@@ -738,7 +738,6 @@ fn schedule_byte(s: Schedule) -> u8 {
         Schedule::Baseline => 0,
         Schedule::Basic => 1,
         Schedule::Optimized => 2,
-        Schedule::Overlapped => 3,
     }
 }
 
@@ -747,7 +746,6 @@ fn schedule_from_byte(b: u8) -> Result<Schedule, WireError> {
         0 => Schedule::Baseline,
         1 => Schedule::Basic,
         2 => Schedule::Optimized,
-        3 => Schedule::Overlapped,
         other => {
             return Err(WireError::Malformed(format!(
                 "unknown schedule byte {other}"
@@ -1330,6 +1328,29 @@ mod tests {
         expect_err(&bad, |e| matches!(e, WireError::Truncated));
         let bad = reseal(&good, |p| p.truncate(n - 2));
         expect_err(&bad, |e| matches!(e, WireError::Truncated));
+
+        // Schedule bytes past the paper's three are refused on both
+        // frames that carry one; a peer built with a fourth schedule
+        // gets a typed error instead of a misread schedule. Offsets:
+        // request id (8) + tenant length (4) + tenant "q" (1), then the
+        // deadline (8) on a Submit.
+        let open = encode_frame(&Frame::OpenSession {
+            request_id: 12,
+            tenant: "q".into(),
+            schedule: Schedule::Optimized,
+            stream: test_stream(),
+        });
+        for (frame, at) in [(&good, 21), (&open, 13)] {
+            assert_eq!(
+                frame[HEADER_LEN + at],
+                2,
+                "offset lands on the schedule byte"
+            );
+            for byte in [3, 0xff] {
+                let bad = reseal(frame, |p| p[at] = byte);
+                expect_err(&bad, |e| matches!(e, WireError::Malformed(_)));
+            }
+        }
     }
 
     #[test]
@@ -1383,7 +1404,7 @@ mod tests {
         let open = roundtrip(&Frame::OpenSession {
             request_id: 3,
             tenant: "flow".into(),
-            schedule: Schedule::Overlapped,
+            schedule: Schedule::Optimized,
             stream: stream.clone(),
         });
         match open {
@@ -1395,7 +1416,7 @@ mod tests {
             } => {
                 assert_eq!(request_id, 3);
                 assert_eq!(tenant, "flow");
-                assert_eq!(schedule, Schedule::Overlapped);
+                assert_eq!(schedule, Schedule::Optimized);
                 // Fingerprint identity ⇒ the temporal structure survived.
                 assert_eq!(s.fingerprint(), stream.fingerprint());
                 assert_eq!(s.states(), stream.states());

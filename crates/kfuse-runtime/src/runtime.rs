@@ -1288,16 +1288,7 @@ impl Shared {
             .map_err(|e| ExecError::Invalid(e.to_string()))?;
         let policy = Arc::clone(&*self.policy.lock().unwrap());
         let fused = kfuse_dsl::compile(pipeline, schedule, policy.fusion_config());
-        // The overlapped schedule changes the executor's halo discipline,
-        // not just the fusion pricing: stage planes keep their full halo
-        // rect and apron cells are border-resolved once instead of
-        // index-exchanged per load.
-        let tiling = if schedule == Schedule::Overlapped {
-            kfuse_sim::Tiling::Overlapped
-        } else {
-            kfuse_sim::Tiling::Exchange
-        };
-        let plan = Arc::new(CompiledPlan::compile_with(&fused, tiling)?);
+        let plan = Arc::new(CompiledPlan::compile(&fused)?);
         // Price the fused plan once at compile time; every execution
         // divides its observed time by this for the fidelity ratio.
         let modeled_us = modeled_execute_us(plan.pipeline(), policy.fusion_config());

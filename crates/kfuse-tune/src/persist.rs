@@ -166,11 +166,15 @@ mod tests {
     fn malformed_lines_are_skipped_not_fatal() {
         let good = entry(42, 7);
         let text = format!(
-            "{HEADER}\n# a comment\n\nentry zzzz 1 optimized 1 1 0 1\nentry 2a 7 basic 64 32 1 321.5\nentry 2a 7 warp 64 32 1 1\n"
+            "{HEADER}\n# a comment\n\nentry zzzz 1 optimized 1 1 0 1\nentry 2a 7 basic 64 32 1 321.5\nentry 2a 7 warp 64 32 1 1\nentry 2a 7 overlapped 64 32 0 1\n"
         );
         let parsed = from_text(&text);
+        // Only the basic entry survives: the bad hex, the unknown `warp`
+        // tag and `overlapped` (a schedule older v2 files may name) are
+        // each skipped.
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].key, good.key);
+        assert_eq!(parsed[0].choice.schedule, Schedule::Basic);
     }
 
     #[test]

@@ -431,8 +431,7 @@ fn stream_frame_inputs(stream: &StreamPipeline, f: u64) -> Vec<(ImageId, Image)>
 }
 
 /// Every temporal app served as a session over TCP produces frame
-/// sequences bit-identical to the naive local reference — under both the
-/// exchange and the overlapped tiling discipline.
+/// sequences bit-identical to the naive local reference.
 #[test]
 fn streaming_sessions_serve_temporal_apps_bit_identically() {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
@@ -446,28 +445,26 @@ fn streaming_sessions_serve_temporal_apps_bit_identically() {
             .collect();
         let want = run_reference(&stream, &seq).expect("reference");
 
-        for schedule in [Schedule::Optimized, Schedule::Overlapped] {
-            let sid = client
-                .open_session(app.name, &stream, schedule)
-                .expect("open session");
-            for (f, fresh) in seq.iter().enumerate() {
-                let outputs = client
-                    .step_session(sid, fresh.clone())
-                    .expect("session step");
-                assert_eq!(outputs.len(), want[f].len());
-                for ((got_id, got), (want_id, want_img)) in outputs.iter().zip(&want[f]) {
-                    assert_eq!(got_id, want_id);
-                    assert!(
-                        got.bit_equal(want_img),
-                        "{} frame {f} output {} differs from run_reference under {schedule:?}",
-                        app.name,
-                        got_id.0
-                    );
-                }
+        let sid = client
+            .open_session(app.name, &stream, Schedule::Optimized)
+            .expect("open session");
+        for (f, fresh) in seq.iter().enumerate() {
+            let outputs = client
+                .step_session(sid, fresh.clone())
+                .expect("session step");
+            assert_eq!(outputs.len(), want[f].len());
+            for ((got_id, got), (want_id, want_img)) in outputs.iter().zip(&want[f]) {
+                assert_eq!(got_id, want_id);
+                assert!(
+                    got.bit_equal(want_img),
+                    "{} frame {f} output {} differs from run_reference",
+                    app.name,
+                    got_id.0
+                );
             }
-            let (completed, errored) = client.close_session(sid).expect("close");
-            assert_eq!((completed, errored), (FRAMES, 0), "{}", app.name);
         }
+        let (completed, errored) = client.close_session(sid).expect("close");
+        assert_eq!((completed, errored), (FRAMES, 0), "{}", app.name);
     }
     server.shutdown();
 }
